@@ -9,7 +9,8 @@ lists, candidate sets, attribute lists:
 * ``difference`` / ``union`` — candidate filtering and attribute
   similarity;
 * ``contains`` — bulk membership probes;
-* ``slice_gt`` — the ubiquitous "higher-ID neighbours" restriction.
+* ``slice_gt`` / ``slice_lt`` — the ubiquitous "higher-ID neighbours"
+  restriction and its mirror (order bounds of compiled plans).
 
 Three interchangeable backends implement them:
 
@@ -57,6 +58,7 @@ __all__ = [
     "union",
     "contains",
     "slice_gt",
+    "slice_lt",
     "intersect_count_many",
     "unique_sorted",
     "intersect_count_estimate",
@@ -251,6 +253,11 @@ def contains(hay: Any, needles: Sequence[int]) -> Sequence[bool]:
 def slice_gt(arr: Any, x: int) -> Any:
     """Elements of ``arr`` strictly greater than ``x`` (a view/copy)."""
     return _active.slice_gt(arr, x)
+
+
+def slice_lt(arr: Any, x: int) -> Any:
+    """Elements of ``arr`` strictly less than ``x`` (a view/copy)."""
+    return _active.slice_lt(arr, x)
 
 
 def intersect_count_many(

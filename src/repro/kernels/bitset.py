@@ -15,7 +15,7 @@ value-identical to the reference on every input.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 
@@ -138,6 +138,10 @@ def contains(hay: BitsetIds, needles: Sequence[int]) -> List[bool]:
 
 def slice_gt(arr: BitsetIds, x: int) -> BitsetIds:
     return BitsetIds(arr.ids[bisect_right(arr.ids, x):])
+
+
+def slice_lt(arr: BitsetIds, x: int) -> BitsetIds:
+    return BitsetIds(arr.ids[:bisect_left(arr.ids, x)])
 
 
 def intersect_count_many(

@@ -4,7 +4,7 @@ Handles are 1-D ``int64`` ndarrays, sorted and duplicate-free.  The
 binary operations use ``searchsorted`` — one vectorised binary search
 of the smaller operand into the larger — which is simultaneously the
 merge *and* the galloping strategy: O(small · log large) with all the
-per-element work in C.  ``slice_gt`` is a zero-copy view.
+per-element work in C.  ``slice_gt`` / ``slice_lt`` are zero-copy views.
 
 This module must import cleanly without numpy (``AVAILABLE`` guards
 it); the dispatch layer never routes calls here when numpy is absent.
@@ -90,6 +90,10 @@ def contains(hay, needles: Sequence[int]) -> List[bool]:
 
 def slice_gt(arr, x: int):
     return arr[_np.searchsorted(arr, x, side="right"):]
+
+
+def slice_lt(arr, x: int):
+    return arr[:_np.searchsorted(arr, x, side="left")]
 
 
 def intersect_count_many(

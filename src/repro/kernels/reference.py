@@ -125,6 +125,10 @@ def slice_gt(arr: SortedIds, x: int) -> SortedIds:
     return SortedIds(arr[bisect_right(arr, x):])
 
 
+def slice_lt(arr: SortedIds, x: int) -> SortedIds:
+    return SortedIds(arr[:bisect_left(arr, x)])
+
+
 def intersect_count_many(
     arrays: Sequence[Iterable[int]],
     thresholds: Sequence[int],

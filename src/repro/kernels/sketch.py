@@ -532,6 +532,10 @@ def slice_gt(arr: Any, x: int) -> SketchedIds:
     return SketchedIds(reference.slice_gt(as_array(arr), x))
 
 
+def slice_lt(arr: Any, x: int) -> SketchedIds:
+    return SketchedIds(reference.slice_lt(as_array(arr), x))
+
+
 def intersect_count_many(
     arrays: Sequence[Iterable[int]],
     thresholds: Sequence[int],

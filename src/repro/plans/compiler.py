@@ -20,12 +20,14 @@ to G-Miner's pull-based task model:
    step therefore intersects at least one adjacency list.
 5. **Per-level intersection steps** — each step records which earlier
    positions to intersect (``sources``), the order filters consuming
-   symmetry constraints, the label/predicate filters, and whether the
-   step is the fused final *count* (no materialisation).
+   symmetry constraints, the label/predicate filters, whether the step
+   is the fused final *count* (no materialisation), and the static
+   ``certain`` / ``probed`` split of the remaining positions that lets
+   the count be arithmetic on set sizes.
 
 The runtime half (input-aware choices) lives in the executor: sources
-are intersected smallest-adjacency-first, the final step uses the
-kernels' fused count, and the kernel backend itself comes from the job
+are intersected smallest-adjacency-first, once per distinct source
+images and bounds, and the kernel backend itself comes from the job
 config — compiled plans are backend-agnostic by construction.
 """
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.mining.patterns import PatternValidationError, TreePattern
@@ -60,7 +63,18 @@ class CompiledStep:
     * ``label`` — required vertex label, or ``None`` for wildcard;
     * ``predicates`` — ``(op, value)`` attribute filters;
     * ``counting`` — final step: count candidates instead of
-      materialising extended embeddings.
+      materialising extended embeddings;
+    * ``certain`` / ``probed`` — how a structural count
+      (``|cands| − |cands ∩ partial|``) decides injectivity without a
+      candidate loop: ``certain`` positions are pattern-adjacent to
+      *every* source, so their images are certainly in ``∩Γ(sources)``
+      and only the integer order bounds remain to compare; ``probed``
+      positions are adjacent to some source at most and are looked up
+      in the candidate set.  Neither lists a source (the data graph
+      has no self-loops, ``v ∉ Γ(v)``, so a source image is never a
+      candidate) nor a bound position (its image fails its own strict
+      bound): the four groups partition the earlier positions.
+      :func:`compile_pattern` derives both; a hand-built step must too.
     """
 
     node: int
@@ -70,6 +84,8 @@ class CompiledStep:
     label: Optional[str] = None
     predicates: Tuple[Tuple[str, int], ...] = ()
     counting: bool = False
+    certain: Tuple[int, ...] = ()
+    probed: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -100,14 +116,14 @@ class ExecutionPlan:
     def root_label(self) -> Optional[str]:
         return None if self.labels[0] == WILDCARD else self.labels[0]
 
-    @property
+    @cached_property
     def root_predicates(self) -> Tuple[Tuple[str, int], ...]:
         return tuple(
             (op, value) for node, op, value in self.query.predicates
             if node == 0
         )
 
-    @property
+    @cached_property
     def min_root_degree(self) -> int:
         """Pattern degree of the root — a data vertex with fewer
         neighbours cannot host any embedding, so seeding skips it."""
@@ -329,6 +345,14 @@ def compile_pattern(
                    if a == node and position_of[b] < position)
         )
         label = None if labels[node] == WILDCARD else labels[node]
+        undecided = [
+            q for q in range(position)
+            if q not in sources and q not in greater_than and q not in less_than
+        ]
+        certain = tuple(
+            q for q in undecided
+            if all(order[s] in adjacency[order[q]] for s in sources)
+        )
         steps.append(CompiledStep(
             node=node,
             sources=sources,
@@ -337,6 +361,8 @@ def compile_pattern(
             label=label,
             predicates=tuple(node_predicates[node]),
             counting=(position == k - 1),
+            certain=certain,
+            probed=tuple(q for q in undecided if q not in certain),
         ))
 
     return ExecutionPlan(

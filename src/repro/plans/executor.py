@@ -1,20 +1,31 @@
 """The generic plan-driven grower: executes any
 :class:`~repro.plans.compiler.ExecutionPlan` on G-Miner's task model.
 
-One :class:`PlanTask` seeds per admissible vertex; round ``r`` runs
-plan step ``r-1``: per partial embedding, intersect the adjacency
-lists of the step's source images (smallest-first — the input-aware
-candidate direction), slice away ids below the symmetry bound, then
-filter the survivors by injectivity, remaining order bounds, label and
-attribute predicates.  The final step is *fused*: candidates are
-counted, never materialised, and — when it needs no vertex data (pure
-structural count) — the last candidate level is never even pulled,
-G²Miner's count-fusion trick expressed in the pull model.
+One :class:`PlanTask` seeds per admissible vertex; round ``r`` hands
+its partial embeddings and plan step ``r-1`` to :func:`run_step`, the
+one step runner (:func:`count_plan_sequential` calls it too):
 
-Work charging is deterministic and backend-independent: each partial
-charges the total length of the adjacency lists it intersects plus one
-unit per surviving candidate filtered — the same "elements scanned"
-convention the legacy kernels use.
+* **Shared candidate sets** (Khuzdul's extend/intersect split).  A
+  partial's candidates — the adjacency lists of its source images
+  intersected smallest-first (the input-aware direction), then
+  ``slice_gt`` at the lower order bound — depend only on those images
+  and the bound, so one step call computes them once per distinct key
+  and every partial sharing the key reuses them.  ``slice_lt`` at the
+  upper bound and the label / predicate filters likewise run once per
+  shared set, not once per (partial, candidate).
+* **Arithmetic count fusion** (G²Miner).  A final step that reads no
+  vertex data counts ``|cands| − |cands ∩ partial|``: no per-candidate
+  loop, nothing materialised, the last level never even pulled.  Which
+  images of the partial lie in ``cands`` is mostly static: positions
+  pattern-adjacent to every source (``CompiledStep.certain``) are
+  *certainly* in ``∩Γ(sources)``, only the integer bounds decide; the
+  rest are *probed*, one ``kernels.contains`` per shared set.
+* Every other step keeps only the injectivity test in its loop.
+
+**Charging invariant** (deterministic, backend-independent): each
+partial is charged ``Σ|Γ(source)| + |cands after slice_gt|`` whether or
+not the set was computed for it — the legacy kernels' "elements
+scanned" convention, so sharing changes wall time, never work units.
 
 :func:`count_plan_sequential` runs the identical per-seed computation
 single-threaded against full graph access; it is the natural oracle
@@ -23,7 +34,9 @@ half of plan-vs-distributed differential tests.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro import kernels
 from repro.core.api import GMinerApp
@@ -33,6 +46,7 @@ from repro.mining.cost import WorkMeter
 from repro.plans.compiler import CompiledStep, ExecutionPlan
 
 PartialImage = Tuple[int, ...]
+_INF = float("inf")  # absent order bound; vertex ids may be negative
 
 #: Candidate-set density (estimated candidates / id universe) above
 #: which the bitset backend wins a level: bitmap intersection costs
@@ -74,51 +88,68 @@ def step_needs_data(step: CompiledStep) -> bool:
     return not (step.counting and step.label is None and not step.predicates)
 
 
-def _step_candidates(
-    partial: PartialImage,
+def run_step(
+    partials: Sequence[PartialImage],
     step: CompiledStep,
     data_of: Callable[[int], VertexData],
-) -> Tuple[List[int], int]:
-    """Intersected, symmetry-sliced candidate ids for one partial.
-
-    Returns ``(candidates, scanned)`` where ``scanned`` is the metered
-    element count (sum of source adjacency lengths).
-    """
-    arrays = [data_of(partial[q]).neighbors_array() for q in step.sources]
-    scanned = sum(len(array) for array in arrays)
-    # input-aware candidate direction: start from the smallest list so
-    # every later intersection works on the tightest running set
-    arrays.sort(key=len)
-    result = arrays[0]
-    for array in arrays[1:]:
-        result = kernels.intersect(result, array)
-    if step.greater_than:
-        result = kernels.slice_gt(
-            result, max(partial[q] for q in step.greater_than)
-        )
-    return kernels.tolist(result), scanned
-
-
-def _passes_filters(
-    vid: int,
-    partial: PartialImage,
-    step: CompiledStep,
-    data_of: Callable[[int], VertexData],
-) -> bool:
-    """Injectivity, order bounds, label and predicate checks."""
-    if vid in partial:
-        return False
-    for q in step.less_than:
-        if vid >= partial[q]:
-            return False
-    if step.label is not None or step.predicates:
-        data = data_of(vid)
-        if step.label is not None and data.label != step.label:
-            return False
-        for op, value in step.predicates:
-            if op == "has-attr" and value not in data.attributes:
-                return False
-    return True
+    charge: Callable[[float], None],
+) -> Union[int, List[PartialImage]]:
+    """Run one plan step over a batch of partial embeddings: the count
+    for a counting step, the extended partials otherwise.  Charges the
+    batch's work units (see the module docstring for the invariant)."""
+    structural = not step_needs_data(step)
+    sources, certain, probed = step.sources, step.certain, step.probed
+    lower_of, upper_of, counting = step.greater_than, step.less_than, step.counting
+    #: (source images, bounds) -> (charge, handle, size | filtered ids)
+    memo: Dict[Tuple, Tuple] = {}
+    needles: Dict[Tuple, List[int]] = {}
+    units = count = 0
+    extended: List[PartialImage] = []
+    for partial in partials:
+        lower = max([partial[q] for q in lower_of]) if lower_of else -_INF
+        upper = min([partial[q] for q in upper_of]) if upper_of else _INF
+        key = (*[partial[q] for q in sources], lower, upper)
+        entry = memo.get(key)
+        if entry is None:
+            arrays = [data_of(vid).neighbors_array() for vid in key[:-2]]
+            scanned = sum([len(array) for array in arrays])
+            arrays.sort(key=len)  # tightest running set first
+            cands = arrays[0]
+            for array in arrays[1:]:
+                cands = kernels.intersect(cands, array)
+            if lower_of:
+                cands = kernels.slice_gt(cands, lower)
+            cost = scanned + len(cands)  # fixed before slice_lt / filters
+            if upper_of:
+                cands = kernels.slice_lt(cands, upper)
+            if structural:
+                entry = memo[key] = (cost, cands, len(cands))
+            else:
+                vids = kernels.tolist(cands)
+                if step.label is not None:
+                    vids = [v for v in vids if data_of(v).label == step.label]
+                for op, value in step.predicates:
+                    if op == "has-attr":
+                        vids = [v for v in vids if value in data_of(v).attributes]
+                entry = memo[key] = (cost, cands, vids)
+        units += entry[0]
+        if structural:
+            # |cands| − |cands ∩ partial|; sources and bound positions are
+            # never in cands (no self-loops: v ∉ Γ(v); bounds are strict)
+            count += entry[2]
+            for q in certain:
+                if lower < partial[q] < upper:
+                    count -= 1
+            if probed:
+                needles.setdefault(key, []).extend([partial[q] for q in probed])
+        elif counting:
+            count += sum([vid not in partial for vid in entry[2]])
+        else:
+            extended += [partial + (vid,) for vid in entry[2] if vid not in partial]
+    charge(units)
+    for key, images in needles.items():
+        count -= sum(kernels.contains(memo[key][1], images))
+    return count if counting else extended
 
 
 def seed_admissible(vertex: VertexData, plan: ExecutionPlan) -> bool:
@@ -153,11 +184,12 @@ class PlanTask(Task):
         data; nothing for a fused structural count."""
         if not step_needs_data(step):
             return set()
-        needed: Set[int] = set()
-        for partial in self.partials:
-            for q in step.sources:
-                needed.update(self.known[partial[q]].neighbors)
-        return needed - set(self.known)
+        known = self.known
+        images = {partial[q] for partial in self.partials for q in step.sources}
+        return {
+            vid for image in images for vid in known[image].neighbors
+            if vid not in known
+        }
 
     def split(self) -> Optional[List[Task]]:
         """Recursive task splitting (§9): halve the partial set.
@@ -189,42 +221,21 @@ class PlanTask(Task):
         return partial_bytes + known_bytes
 
     def update(self, cand_objs: Dict[int, VertexData], env: TaskEnv) -> None:
+        self.known.update(cand_objs)
+        step = self.plan.steps[self.round - 1]
         # per-level backend selection (backend="auto"): the running
         # round's step may prefer a different set representation; with
         # no selection the ambient backend applies unchanged
+        backend = kernels.get_backend()
         if self.step_backends is not None:
-            with kernels.use_backend(self.step_backends[self.round - 1]):
-                self._update(cand_objs, env)
-        else:
-            self._update(cand_objs, env)
-
-    def _update(self, cand_objs: Dict[int, VertexData], env: TaskEnv) -> None:
-        self.known.update(cand_objs)
-        step = self.plan.steps[self.round - 1]
-        data_of = self.known.__getitem__
-        if step.counting:
-            total = 0
-            for partial in self.partials:
-                cands, scanned = _step_candidates(partial, step, data_of)
-                self.charge(scanned + len(cands))
-                total += sum(
-                    1 for vid in cands
-                    if _passes_filters(vid, partial, step, data_of)
-                )
-            self.finish(total if total else None)
+            backend = self.step_backends[self.round - 1]
+        with kernels.use_backend(backend):
+            out = run_step(self.partials, step, self.known.__getitem__, self.charge)
+        if step.counting or not out:
+            self.finish(out or None)
             return
-        extended: List[PartialImage] = []
-        for partial in self.partials:
-            cands, scanned = _step_candidates(partial, step, data_of)
-            self.charge(scanned + len(cands))
-            for vid in cands:
-                if _passes_filters(vid, partial, step, data_of):
-                    extended.append(partial + (vid,))
-        if not extended:
-            self.finish(None)
-            return
-        self.partials = extended
-        self.subgraph.add_nodes({partial[-1] for partial in extended})
+        self.partials = out
+        self.subgraph.add_nodes({partial[-1] for partial in out})
         self.pull(self._needed_for(self.plan.steps[self.round]))
 
 
@@ -275,29 +286,18 @@ def count_plan_sequential(
     distributed job on any graph.
     """
     meter = meter if meter is not None else WorkMeter()
-    data_of = graph.vertex_data
+    # one VertexData per vertex for the whole call: graph.vertex_data
+    # builds a fresh one (and re-converts its adjacency) on every access
+    known = {vid: graph.vertex_data(vid) for vid in sorted(graph.vertices())}
     total = 0
-    for vid in sorted(graph.vertices()):
-        seed = data_of(vid)
+    for vid, seed in known.items():
         if not seed_admissible(seed, plan):
             continue
-        partials: List[PartialImage] = [(vid,)]
+        out: Union[int, List[PartialImage]] = [(vid,)]
         for step in plan.steps:
-            next_partials: List[PartialImage] = []
-            count_here = 0
-            for partial in partials:
-                cands, scanned = _step_candidates(partial, step, data_of)
-                meter.charge(scanned + len(cands))
-                for cand in cands:
-                    if _passes_filters(cand, partial, step, data_of):
-                        if step.counting:
-                            count_here += 1
-                        else:
-                            next_partials.append(partial + (cand,))
-            if step.counting:
-                total += count_here
+            out = run_step(out, step, known.__getitem__, meter.charge)
+            if not out:
                 break
-            partials = next_partials
-            if not partials:
-                break
+        else:
+            total += out
     return total

@@ -13,7 +13,10 @@ To refresh after an intentional result change::
 
 import pytest
 
+from repro import mine
 from repro.bench.runner import prepare_dataset, run
+from repro.core import GMinerConfig
+from repro.graph.generators import preferential_attachment_graph
 from repro.mining.cost import WorkMeter
 from repro.mining.graphlets import graphlet_count_sequential
 from repro.sim.cluster import ClusterSpec
@@ -128,3 +131,22 @@ def test_graphlet_work_unit_pin():
     histogram = graphlet_count_sequential(3, adjacency, meter)
     assert meter.units == 8412916.0
     assert histogram == {"path3": 117329, "triangle": 5378}
+
+
+def test_plan_bench_recipe_pin():
+    """The ``native-plan-tailed`` benchmark input (benchmarks/e2e): the
+    compiled tailed-triangle plan's value and native work-unit total
+    (per-partial ``scanned + len(cands)`` charges plus the seed scan).
+    The plan executor may share or fuse the set work; it may not move
+    either number."""
+    graph = preferential_attachment_graph(200, 20, seed=7, max_degree=60)
+    result = mine(
+        graph,
+        pattern="tailed-triangle",
+        execution="native",
+        backend="bitset",
+        config=GMinerConfig(native_workers=1),
+    )
+    assert result.ok
+    assert result.value == 1780402
+    assert result.stats["work_units"] == 4371841.0

@@ -106,6 +106,30 @@ def test_slice_gt(backend):
         assert kernels.tolist(kernels.slice_gt(arr, 9)) == []
 
 
+SLICE_LT_CASES = [
+    ((), 3),  # empty
+    ((1, 4, 7), 0),  # all above the pivot
+    ((1, 4, 7), 100),  # all below
+    ((1, 4, 7, 9), 7),  # pivot present
+    ((1, 4, 7, 9), 8),  # pivot absent
+    ((-5, -2, 0, 3), -2),  # negative ids, pivot present
+    ((-5, -2, 0, 3), -3),  # negative ids, pivot absent
+]
+
+
+# the sketch backend answers exact slices too (it delegates to reference)
+@pytest.mark.parametrize("backend", BACKENDS + ("sketch",))
+@pytest.mark.parametrize("ids,x", SLICE_LT_CASES)
+def test_slice_lt(backend, ids, x):
+    with kernels.use_backend(backend):
+        arr = kernels.as_array(ids)
+        below = kernels.slice_lt(arr, x)
+        assert kernels.tolist(below) == [v for v in ids if v < x]
+        # mirror of slice_gt: the two slices and the pivot partition arr
+        above = kernels.slice_gt(arr, x)
+        assert len(below) + len(above) + (x in ids) == len(arr)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_intersect_count_many_matches_pairwise(backend):
     arrays = [(), (1, 2, 3), (0, 4, 8, 12), tuple(range(0, 40, 2))]
@@ -177,6 +201,28 @@ def _per_backend(fn):
             f"{outcome} != {baseline}"
         )
     return baseline
+
+
+@given(
+    st.lists(st.integers(-20, 60), max_size=40),
+    st.integers(-25, 65),
+    st.integers(-25, 65),
+)
+def test_order_bound_slices_invariant_across_backends(values, lo, hi):
+    """``slice_gt`` then ``slice_lt`` — a plan step's order bounds —
+    yields the same open window (and a probe-able handle) everywhere."""
+    expected = [v for v in sorted(set(values)) if lo < v < hi]
+    for backend in BACKENDS + ("sketch",):
+        with kernels.use_backend(backend):
+            window = kernels.slice_lt(
+                kernels.slice_gt(kernels.as_array(values), lo), hi
+            )
+            assert kernels.tolist(window) == expected, backend
+            assert len(window) == len(expected), backend
+            probes = [lo, hi, *expected[:2]]
+            assert list(kernels.contains(window, probes)) == [
+                p in expected for p in probes
+            ], backend
 
 
 @given(edge_lists)

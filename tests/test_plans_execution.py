@@ -10,11 +10,19 @@ Three equivalence axes:
 * a non-built-in motif (the tailed triangle) runs end-to-end and
   agrees with the brute-force oracle, the sequential plan runner, and
   itself across backends — including under task splitting and under
-  checkpointed worker failure.
+  checkpointed worker failure;
+* the shared-candidate / count-fusing step runner agrees in value
+  *and* work units with the per-candidate executor it replaced, kept
+  frozen here as the reference (hypothesis, all backends).
 """
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import kernels
 from repro.apps import (
     CommunityDetectionApp,
     GraphClusteringApp,
@@ -27,15 +35,21 @@ from repro.apps import (
 )
 from repro.core import GMinerConfig, GMinerJob, JobStatus
 from repro.graph.generators import random_attributes
-from repro.mining.patterns import PAPER_PATTERN
+from repro.graph.graph import Graph
+from repro.mining.cost import WorkMeter
+from repro.mining.patterns import PAPER_PATTERN, make_pattern
+from repro.native.runtime import execute_chunk, make_data_source
 from repro.plans import (
+    MOTIFS,
     PatternQuery,
+    PlanApp,
     compile_pattern,
     count_embeddings_bruteforce,
     count_plan_sequential,
     mine,
     motif,
 )
+from repro.plans.executor import seed_admissible, step_needs_data
 from repro.sim.failures import FailurePlan
 
 from tests.conftest import make_clustered_graph
@@ -226,3 +240,169 @@ class TestPlanFaultTolerance:
         )
         assert result.status is JobStatus.OK
         assert result.value == clean.value
+
+
+# ----------------------------------------------------------------------
+# The per-candidate executor run_step replaced, frozen as the reference:
+# one intersection per partial, one filter call per (partial, candidate).
+# ----------------------------------------------------------------------
+
+
+def _frozen_step_candidates(partial, step, data_of):
+    arrays = [data_of(partial[q]).neighbors_array() for q in step.sources]
+    scanned = sum(len(array) for array in arrays)
+    arrays.sort(key=len)
+    result = arrays[0]
+    for array in arrays[1:]:
+        result = kernels.intersect(result, array)
+    if step.greater_than:
+        result = kernels.slice_gt(
+            result, max(partial[q] for q in step.greater_than)
+        )
+    return kernels.tolist(result), scanned
+
+
+def _frozen_passes_filters(vid, partial, step, data_of):
+    if vid in partial:
+        return False
+    for q in step.less_than:
+        if vid >= partial[q]:
+            return False
+    if step.label is not None or step.predicates:
+        data = data_of(vid)
+        if step.label is not None and data.label != step.label:
+            return False
+        for op, value in step.predicates:
+            if op == "has-attr" and value not in data.attributes:
+                return False
+    return True
+
+
+def _frozen_count(plan, graph):
+    """``(value, work units)`` of the frozen executor, seed scan excluded."""
+    data_of = {v: graph.vertex_data(v) for v in graph.vertices()}.__getitem__
+    total = units = 0
+    for vid in sorted(graph.vertices()):
+        if not seed_admissible(data_of(vid), plan):
+            continue
+        partials = [(vid,)]
+        for step in plan.steps:
+            extended = []
+            for partial in partials:
+                cands, scanned = _frozen_step_candidates(partial, step, data_of)
+                units += scanned + len(cands)
+                extended += [
+                    partial + (cand,) for cand in cands
+                    if _frozen_passes_filters(cand, partial, step, data_of)
+                ]
+            partials = extended
+        total += len(partials)
+    return total, units
+
+
+def _runner_queries():
+    tailed = motif("tailed-triangle")
+    queries = [motif(name) for name in sorted(MOTIFS)]
+    queries += [
+        # label on the counted node and on an extended one
+        PatternQuery(
+            make_pattern("a", [("b", 0), ("*", 0)], [("a", 1)]),
+            edges=((1, 2),), name="labelled",
+        ),
+        # has-attr on the counted node and on an extended one
+        dataclasses.replace(
+            tailed, predicates=((1, "has-attr", 1), (3, "has-attr", 2)),
+            name="has-attr",
+        ),
+        # image(3) < image(0), image(1) < image(0): upper bounds on an
+        # extend step and on the (structural) count step
+        dataclasses.replace(tailed, orders=((3, 0), (1, 0)), name="upper"),
+        dataclasses.replace(
+            motif("3-star"), orders=((2, 1), (3, 0)), symmetry="none",
+            name="upper-none",
+        ),
+        dataclasses.replace(motif("diamond"), symmetry="none", name="raw-diamond"),
+        dataclasses.replace(motif("4-cycle"), symmetry="none", name="raw-cycle"),
+        # structural counts whose partial holds images that are *not*
+        # pattern-adjacent to the source: the probed half of the split
+        PatternQuery(
+            make_pattern("*", [("*", 0)], [("*", 0)], [("*", 0)]), name="4-path"
+        ),
+        PatternQuery.from_tree(
+            make_pattern("*", [("*", 0), ("*", 0)], [("*", 1), ("*", 1)]),
+            name="raw-tree",
+        ),
+    ]
+    return [compile_pattern(query) for query in queries]
+
+
+RUNNER_PLANS = _runner_queries()
+
+runner_graphs = st.tuples(
+    st.lists(
+        # negative ids take the bitset backend's non-bitmap path;
+        # (v, v) pairs check that Graph really drops self-loops
+        st.tuples(st.integers(-2, 11), st.integers(-2, 11)),
+        min_size=1, max_size=45,
+    ),
+    st.lists(st.sampled_from("abc"), min_size=14, max_size=14),
+    st.lists(
+        st.lists(st.integers(1, 3), max_size=2, unique=True),
+        min_size=14, max_size=14,
+    ),
+)
+
+
+class TestStepRunnerAgainstFrozenExecutor:
+    def test_plans_cover_the_runner_branches(self):
+        steps = [step for plan in RUNNER_PLANS for step in plan.steps]
+        counts = [step for step in steps if step.counting]
+        fused = [step for step in counts if not step_needs_data(step)]
+        assert any(step.less_than for step in steps if not step.counting)
+        assert any(step.less_than and step.certain for step in fused)
+        assert any(step.greater_than and step.certain for step in fused)
+        assert any(step.probed for step in fused)
+        assert any(len(step.sources) > 1 for step in fused)
+        assert any(step.label for step in counts)
+        assert any(step.predicates for step in counts)
+        for plan in RUNNER_PLANS:
+            for position, step in enumerate(plan.steps, start=1):
+                # certain and probed split exactly the earlier positions
+                # that are neither a source nor an order bound
+                decided = {*step.sources, *step.greater_than, *step.less_than}
+                assert sorted(decided | {*step.certain, *step.probed}) == list(
+                    range(position)
+                )
+                assert len(decided) + len(step.certain) + len(step.probed) == position
+
+    @pytest.mark.property
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(runner_graphs)
+    def test_value_and_work_units_match(self, drawn):
+        edges, labels, attrs = drawn
+        graph = Graph.from_edges(edges)
+        for vid in graph.vertices():
+            # the identity the count fusion rests on: v ∉ Γ(v)
+            assert vid not in graph.neighbors(vid)
+            graph.set_label(vid, labels[vid + 2])
+            graph.set_attributes(vid, sorted(attrs[vid + 2]))
+        vids = sorted(graph.vertices())
+        for plan in RUNNER_PLANS:
+            with kernels.use_backend("reference"):
+                expected = _frozen_count(plan, graph)
+            app = PlanApp(plan)
+            scan = sum(app.seed_cost(graph.vertex_data(v)) for v in vids)
+            for backend in kernels.available_backends():
+                with kernels.use_backend(backend):
+                    meter = WorkMeter()
+                    value = count_plan_sequential(plan, graph, meter)
+                    chunk = execute_chunk(
+                        app, graph, 0, vids, make_data_source(graph)
+                    )
+                assert (value, meter.units) == expected, (plan.name, backend)
+                assert (
+                    sum(chunk.results), chunk.work_units - scan
+                ) == expected, (plan.name, backend)
