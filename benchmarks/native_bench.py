@@ -120,7 +120,6 @@ def bench_native(
                     "work_units": work,
                     "tasks_created": result.stats["tasks_created"],
                     "value": result.value,
-                    "steals": result.native["steals"],
                 }
     return {
         "schema": BENCH_SCHEMA,

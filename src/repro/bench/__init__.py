@@ -9,10 +9,6 @@ experiment defaults; batches of cells fan out over host cores via
 :mod:`repro.bench.experiments` defines one function per table/figure,
 each returning an :class:`ExperimentReport` that the ``benchmarks/``
 suite executes and EXPERIMENTS.md records.
-
-The pre-``run()`` shims (``run_system``/``run_gminer``) are removed:
-the names survive only in :mod:`repro.bench.runner` as tombstones that
-raise ``TypeError`` pointing at :func:`run`.
 """
 
 from repro.bench.runner import (

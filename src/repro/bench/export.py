@@ -5,8 +5,7 @@ Serialisation now lives on the result types themselves —
 :meth:`repro.bench.report.ExperimentReport.to_dict` — so results
 round-trip without importing this module.  What remains here is
 :func:`save_json`/:func:`save_report`, the pieces genuinely about
-files; the deprecated :func:`job_result_to_dict` path has completed
-its cycle and now raises ``TypeError`` naming the replacement.
+files.
 """
 
 from __future__ import annotations
@@ -16,18 +15,6 @@ import os
 from typing import Any, Dict
 
 from repro.bench.report import ExperimentReport
-from repro.core.job import JobResult, jsonable
-
-#: Deprecated alias of :func:`repro.core.job.jsonable`.
-_jsonable = jsonable
-
-
-def job_result_to_dict(result: JobResult, bins: int = 20) -> Dict[str, Any]:
-    """Removed: use :meth:`JobResult.to_dict` instead."""
-    raise TypeError(
-        "job_result_to_dict() has been removed; call "
-        "JobResult.to_dict(bins=...) on the result instead"
-    )
 
 
 def experiment_report_to_dict(report: ExperimentReport) -> Dict[str, Any]:

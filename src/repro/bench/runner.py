@@ -9,9 +9,6 @@ The one public entrypoint is :func:`run` — keyword-only, built on
 ships to pool workers.  :func:`execute_request` is the single place a
 cell actually executes, whether called inline, by the ambient
 :class:`~repro.parallel.ParallelRunner`, or inside a child process.
-The legacy ``run_system``/``run_gminer`` pair has completed its
-deprecation cycle: calling either raises ``TypeError`` naming the
-replacement.
 """
 
 from __future__ import annotations
@@ -230,26 +227,3 @@ def run_many(
     byte-identical to the serial order either way.
     """
     return ParallelRunner(workers=workers, cache=cache).map(requests)
-
-
-# ----------------------------------------------------------------------
-# Removed shims (the pre-`run()` API).  The deprecation cycle is over:
-# the names remain importable so stale call sites fail with an
-# actionable TypeError instead of an AttributeError.
-# ----------------------------------------------------------------------
-
-
-def run_gminer(*args: Any, **kwargs: Any) -> JobResult:
-    """Removed: use ``run(system="gminer", workload=..., dataset=...)``."""
-    raise TypeError(
-        "run_gminer() has been removed; call repro.bench.run("
-        "system='gminer', workload=..., dataset=...) instead"
-    )
-
-
-def run_system(*args: Any, **kwargs: Any) -> Optional[JobResult]:
-    """Removed: use ``run(system=..., workload=..., dataset=...)``."""
-    raise TypeError(
-        "run_system() has been removed; call repro.bench.run("
-        "system=..., workload=..., dataset=...) instead"
-    )

@@ -51,7 +51,6 @@ class GMinerConfig:
 
     # -- candidate retriever --------------------------------------------
     max_inflight_tasks: int = 8  # CMQ capacity per worker
-    pull_batch_overhead_bytes: int = 24  # per pull request/response framing
 
     # -- task executor ----------------------------------------------------
     task_buffer_batch: int = 16  # tasks flushed from buffer to store at once
@@ -74,12 +73,6 @@ class GMinerConfig:
 
     # -- fault tolerance (§7) ------------------------------------------------
     checkpoint_interval: Optional[float] = None  # seconds; None disables
-    #: How the master learns about dead workers when a failure plan is
-    #: armed.  "heartbeat" (the default) runs the real suspect→confirm
-    #: timeout monitor over worker heartbeats; "oracle" keeps the
-    #: legacy direct injector→master hook, retained as a test-only
-    #: shortcut.
-    failure_detection: str = "heartbeat"  # "heartbeat" | "oracle"
     heartbeat_interval: float = 0.02  # seconds between worker heartbeats
     #: Heartbeat silence after which the master *suspects* a worker;
     #: silence past twice this confirms the failure and triggers
@@ -101,8 +94,6 @@ class GMinerConfig:
     split_candidate_threshold: int = 256  # split tasks with more candidates
 
     # -- observability ------------------------------------------------------
-    enable_tracing: bool = False  # task-lifecycle trace (repro.core.tracing)
-    trace_capacity: int = 200_000  # max trace records before dropping
     #: Attach a :class:`repro.obs.ObsSession` to the job: metrics
     #: registry + span tracer + exporters (``result.obs`` carries the
     #: finalized snapshot).  Strictly read-only over the simulation —
@@ -147,7 +138,7 @@ class GMinerConfig:
     #: Pool size for native execution; ``None`` uses every host core.
     #: Results never depend on this — only wall-clock time does.
     native_workers: Optional[int] = None
-    #: Seed vertices per work-stealing chunk in native mode.  Purely a
+    #: Seed vertices per self-scheduled chunk in native mode.  Purely a
     #: scheduling granularity: results and charges are chunk-invariant.
     native_chunk_size: int = 64
     #: Native supervision: wall-clock seconds a worker may hold one
@@ -191,9 +182,6 @@ class GMinerConfig:
     #: small sets, the default) or "bloom" (fixed-width bitmaps).
     #: Sketch-backend-only.
     sketch_method: Optional[str] = None
-
-    # -- misc -------------------------------------------------------------------
-    seed_scan_cost: float = 2.0  # work units per vertex scanned by task generator
 
     def __post_init__(self) -> None:
         # Fail fast: a typo'd knob should surface here, at construction,
@@ -360,12 +348,6 @@ class GMinerConfig:
                     f"sketch_seed only applies to kernel_backend='sketch' "
                     f"(got kernel_backend={self.kernel_backend!r})"
                 )
-        if self.failure_detection not in ("heartbeat", "oracle"):
-            raise ValueError(
-                f"unknown failure_detection {self.failure_detection!r}: "
-                "expected 'heartbeat' (the real suspect/confirm monitor, "
-                "the default) or 'oracle' (test-only direct hook)"
-            )
         if self.heartbeat_interval <= 0:
             raise ValueError(
                 f"heartbeat_interval must be a positive number of simulated "

@@ -22,7 +22,6 @@ from repro.core.api import GMinerApp
 from repro.core.config import GMinerConfig
 from repro.core.errors import JobDeadlineExceeded
 from repro.core.master import Master
-from repro.core.tracing import NullTraceLog, TaskEvent, TraceLog
 from repro.core.worker import SimWorker
 from repro.graph.graph import Graph, VertexData
 from repro.obs import MASTER_TID, ObsSession, current_collector
@@ -129,7 +128,6 @@ class JobResult:
     stats: Dict[str, float] = field(default_factory=dict)
     timeline: Optional[UtilizationTimeline] = None
     mining_window: Tuple[float, float] = (0.0, 0.0)
-    trace: Optional[TraceLog] = None
     #: Finalized ``repro.obs`` snapshot (schema ``repro.obs.run/1``)
     #: when the job ran with observability on; ``None`` otherwise.
     obs: Optional[Dict[str, Any]] = None
@@ -173,10 +171,9 @@ class JobResult:
     def to_dict(self, bins: int = 20) -> Dict[str, Any]:
         """Flatten to JSON-serialisable primitives.
 
-        Drops the non-serialisable timeline/trace objects but keeps
-        their summaries (a sampled utilisation series, the trace
-        summary).  This is the canonical serialisation;
-        ``repro.bench.export`` delegates here.
+        Drops the non-serialisable timeline object but keeps its
+        summary (a sampled utilisation series).  This is the canonical
+        serialisation; ``repro.bench.export`` delegates here.
         """
         out: Dict[str, Any] = {
             "status": self.status.value,
@@ -197,8 +194,6 @@ class JobResult:
         if self.timeline is not None and self.mining_window[1] > self.mining_window[0]:
             times, series = self.utilization_series(bins=bins)
             out["utilization"] = {"times": times, **series}
-        if self.trace is not None:
-            out["trace_summary"] = self.trace.summary()
         if self.native is not None:
             out["native"] = dict(self.native)
         if self.estimate is not None:
@@ -560,7 +555,6 @@ class GMinerJob:
                     master=self.master,
                     cluster=cluster,
                 )
-            result.trace = getattr(self, "trace", None)
             if self.obs is not None:
                 self._finalize_obs(
                     result,
@@ -618,16 +612,6 @@ class GMinerJob:
             workers.append(worker)
         self.workers = workers
 
-        trace = (
-            TraceLog(capacity=self.config.trace_capacity)
-            if self.config.enable_tracing
-            else None
-        )
-        if trace is not None:
-            for worker in workers:
-                worker.trace = trace
-        self.trace = trace
-
         master = Master(
             cluster=cluster,
             config=self.config,
@@ -636,8 +620,6 @@ class GMinerJob:
             aggregator=aggregator,
             controller=controller,
         )
-        if trace is not None:
-            master.trace = trace
         if self.obs is not None:
             master.attach_obs(self.obs)
         if self.verify is not None:
@@ -773,14 +755,12 @@ class GMinerJob:
         The *physical* layer (nodes halting, links degrading, reboots
         reloading the checkpoint) always runs from the injector — a
         dying node needs no detector to lose its memory.  How the rest
-        of the cluster *finds out* is the protocol's job: by default the
-        master's heartbeat suspect→confirm monitor (§7's "missing
-        progress reports"), with the legacy direct injector→master hook
-        kept only behind ``failure_detection="oracle"`` for tests.
+        of the cluster *finds out* is the protocol's job: the master's
+        heartbeat suspect→confirm monitor (§7's "missing progress
+        reports").
         """
         workers = self.workers
         plan = self.failure_plan
-        heartbeat_mode = self.config.failure_detection == "heartbeat"
 
         # degrade the fabric: seeded loss/duplication/reorder/slow-link/
         # partition behaviour, compiled from the declarative plan
@@ -793,10 +773,10 @@ class GMinerJob:
         for worker in workers:
             worker.enable_fault_tolerance(seed=plan.seed)
 
-        # in heartbeat mode a physical failure holds the job open until
-        # BOTH the reboot finished restoring AND the master re-admitted
-        # the worker (else completion could race the WorkerUp broadcast
-        # and strand re-injected tasks)
+        # a physical failure holds the job open until BOTH the reboot
+        # finished restoring AND the master re-admitted the worker (else
+        # completion could race the WorkerUp broadcast and strand
+        # re-injected tasks)
         pending_readmit: Dict[int, int] = {}
         obs = self.obs
         recovery_spans: Dict[int, Any] = {}
@@ -806,21 +786,16 @@ class GMinerJob:
                 pending_readmit[worker_id] -= 1
                 controller.end_recovery()
 
-        if heartbeat_mode:
-            master.on_worker_readmitted = on_readmitted
-            master.start_failure_monitor()
+        master.on_worker_readmitted = on_readmitted
+        master.start_failure_monitor()
 
         def on_fail(node_id: int) -> None:
             worker = workers[node_id]
-            controller.begin_recovery()
-            if heartbeat_mode:
-                controller.begin_recovery()
-                pending_readmit[node_id] = pending_readmit.get(node_id, 0) + 1
+            controller.begin_recovery()  # released when the restore finishes
+            controller.begin_recovery()  # released on re-admission
+            pending_readmit[node_id] = pending_readmit.get(node_id, 0) + 1
             lost = worker.on_failure()
             controller.tasks_lost(lost)
-            master.trace.emit(
-                cluster.sim.now, node_id, -1, TaskEvent.WORKER_FAILED
-            )
             if obs is not None:
                 obs.tracer.instant(
                     "worker.failed", cat="fault", tid=node_id, lost=lost
@@ -828,8 +803,6 @@ class GMinerJob:
                 recovery_spans[node_id] = obs.tracer.begin(
                     "worker.recovery", cat="fault", tid=node_id
                 )
-            if not heartbeat_mode:
-                master.handle_worker_failure(node_id)
 
         def on_recover(node_id: int) -> None:
             worker = workers[node_id]
@@ -854,8 +827,6 @@ class GMinerJob:
                     if obs is not None:
                         obs.tracer.finish(recovery_spans.pop(node_id, None))
                     controller.end_recovery()
-                    if not heartbeat_mode:
-                        master.handle_worker_recovery(node_id)
                 else:
                     cluster.sim.schedule(
                         self.config.progress_interval, finish_restore

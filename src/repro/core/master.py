@@ -26,7 +26,6 @@ from repro.core.messages import (
     WorkerDown,
     WorkerUp,
 )
-from repro.core.tracing import NullTraceLog, TaskEvent, TraceLog
 from repro.sim.cluster import Cluster
 
 
@@ -56,7 +55,6 @@ class Master:
         self.no_task_replies = 0
         self.checkpoint_epoch = 0
         # -- failure detection (§7): heartbeat suspect→confirm monitor --
-        self.monitoring = False
         self.view = 0  # membership version; bumps on every down/up change
         self.last_heard: Dict[int, float] = {}
         self.suspected: Set[int] = set()
@@ -69,7 +67,6 @@ class Master:
         #: job-level hook fired whenever a down worker is re-admitted
         #: (used to release the recovery hold on job completion)
         self.on_worker_readmitted = None
-        self.trace: TraceLog = NullTraceLog()  # replaced by GMinerJob
         #: :class:`repro.obs.ObsSession` when observability is on;
         #: ``None`` keeps every instrumented site to a single branch.
         self.obs = None
@@ -180,7 +177,7 @@ class Master:
     # ------------------------------------------------------------------
 
     def start_failure_monitor(self) -> None:
-        """Arm the heartbeat timeout monitor (the real detection path).
+        """Arm the heartbeat timeout monitor.
 
         Silence beyond ``suspect_timeout`` marks a worker *suspected*;
         beyond twice that, the failure is confirmed and the normal
@@ -193,7 +190,6 @@ class Master:
         heartbeat traffic and stay byte-identical to a build without
         the fault layer.
         """
-        self.monitoring = True
         now = self.sim.now
         for worker in range(self.num_workers):
             self.last_heard[worker] = now
@@ -212,9 +208,6 @@ class Master:
             if silence > confirm_after:
                 self.suspected.discard(worker)
                 self.failures_detected += 1
-                self.trace.emit(
-                    now, worker, -1, TaskEvent.WORKER_CONFIRMED_DOWN, detail=silence
-                )
                 if self.obs is not None:
                     self._m_confirmed.inc()
                     self.obs.tracer.instant(
@@ -228,9 +221,6 @@ class Master:
                 if worker not in self.suspected:
                     self.suspected.add(worker)
                     self.workers_suspected += 1
-                    self.trace.emit(
-                        now, worker, -1, TaskEvent.WORKER_SUSPECTED, detail=silence
-                    )
                     if self.obs is not None:
                         self._m_suspected.inc()
                         self.obs.tracer.instant(
@@ -253,20 +243,13 @@ class Master:
         self.sim.schedule(self.config.heartbeat_interval, self._monitor_tick)
 
     def _on_heartbeat(self, worker: int, incarnation: int = 0) -> None:
-        now = self.sim.now
-        self.last_heard[worker] = now
+        self.last_heard[worker] = self.sim.now
         known = self.incarnations.get(worker, 0)
-        if not self.monitoring:
-            # oracle mode: membership is driven directly by the injector
-            # hooks; heartbeats are pure liveness signals
-            self.incarnations[worker] = max(known, incarnation)
-            return
         if worker in self.down_workers:
             # the casualty (or a falsely-suspected survivor) is talking
             # again: re-admission runs the same recovery broadcast path
             self.readmissions += 1
             self.incarnations[worker] = incarnation
-            self.trace.emit(now, worker, -1, TaskEvent.WORKER_RECOVERED)
             if self.obs is not None:
                 self._m_readmitted.inc()
                 self.obs.tracer.instant(
@@ -281,8 +264,6 @@ class Master:
             self.failures_detected += 1
             self.readmissions += 1
             self.incarnations[worker] = incarnation
-            self.trace.emit(now, worker, -1, TaskEvent.WORKER_CONFIRMED_DOWN)
-            self.trace.emit(now, worker, -1, TaskEvent.WORKER_RECOVERED)
             if self.obs is not None:
                 self._m_confirmed.inc()
                 self._m_readmitted.inc()

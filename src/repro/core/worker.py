@@ -45,7 +45,6 @@ from repro.core.messages import (
 from repro.core.rcv_cache import CachePolicy, RCVCache
 from repro.core.task import Task, TaskEnv, TaskStatus
 from repro.core.task_store import TaskStore
-from repro.core.tracing import NullTraceLog, TaskEvent, TraceLog
 from repro.graph.graph import VertexData
 from repro.sim.cluster import Cluster, Node
 
@@ -170,7 +169,6 @@ class SimWorker:
         self._checkpoint: Optional[Dict[str, Any]] = None
         self._seeding_done = False
         self.hdfs = None  # set by GMinerJob (checkpoint target)
-        self.trace: TraceLog = NullTraceLog()  # replaced by GMinerJob
         #: :class:`repro.obs.ObsSession` when observability is on;
         #: ``None`` keeps every instrumented site to a single branch.
         self.obs = None
@@ -202,15 +200,11 @@ class SimWorker:
 
         cluster.network.register_handler(worker_id, self._on_message)
 
-    def _emit(self, task_id: int, event: TaskEvent, detail: float = 0.0) -> None:
-        self.trace.emit(self.sim.now, self.worker_id, task_id, event, detail)
-        if self.obs is not None:
-            self.obs.tracer.instant(
-                "task." + event.value,
-                cat="lifecycle",
-                tid=self.worker_id,
-                task=self.obs.rel_task(task_id),
-            )
+    def _emit(self, task_id: int, name: str) -> None:
+        """One ``lifecycle`` instant; every caller guards on ``self.obs``."""
+        self.obs.tracer.instant(
+            name, cat="lifecycle", tid=self.worker_id, task=self.obs.rel_task(task_id)
+        )
 
     def attach_obs(self, obs) -> None:
         """Wire an :class:`repro.obs.ObsSession` into this worker.
@@ -320,7 +314,8 @@ class SimWorker:
                         self.controller.task_created()
                         self.live_tasks[task.task_id] = task
                         self._account_task(task)
-                        self._emit(task.task_id, TaskEvent.SEEDED)
+                        if self.obs is not None:
+                            self._emit(task.task_id, "task.seeded")
                         self._route(task)
                     remaining["n"] -= 1
                     if remaining["n"] == 0:
@@ -354,7 +349,8 @@ class SimWorker:
             return
         task.status = TaskStatus.INACTIVE
         task.to_pull = set(remote)
-        self._emit(task.task_id, TaskEvent.BUFFERED)
+        if self.obs is not None:
+            self._emit(task.task_id, "task.buffered")
         self.task_buffer.append(task)
         if len(self.task_buffer) >= self.config.task_buffer_batch:
             self._flush_buffer(force=True)
@@ -365,20 +361,21 @@ class SimWorker:
         if not force and len(self.task_buffer) < self.config.task_buffer_batch:
             return
         batch, self.task_buffer = self.task_buffer, []
-        for task in batch:
-            self._emit(task.task_id, TaskEvent.STORED)
+        if self.obs is not None:
+            for task in batch:
+                self._emit(task.task_id, "task.stored")
         self.store.insert_batch(batch)
         self._pump_retriever()
 
     def _kill(self, task: Task) -> None:
         task.status = TaskStatus.DEAD
-        self._emit(task.task_id, TaskEvent.FINISHED)
         self.live_tasks.pop(task.task_id, None)
         if task.result is not None:
             self.results[task.task_id] = task.result
         self._unaccount_task(task)
         self.stats.tasks_completed += 1
         if self.obs is not None:
+            self._emit(task.task_id, "task.finished")
             self._m_completed.inc()
         self.controller.task_dead()
 
@@ -403,7 +400,8 @@ class SimWorker:
         self._maybe_request_steal()
 
     def _process_dequeued(self, task: Task) -> None:
-        self._emit(task.task_id, TaskEvent.DEQUEUED)
+        if self.obs is not None:
+            self._emit(task.task_id, "task.dequeued")
         held: Set[int] = getattr(task, "_held_refs", set())
         need_pull: List[int] = []
         for vid in sorted(task.to_pull):
@@ -424,8 +422,8 @@ class SimWorker:
             self._mark_ready(task)
             return
         pending = _PendingPull(task=task, remaining=set(need_pull))
-        self._emit(task.task_id, TaskEvent.PULL_ISSUED, detail=len(need_pull))
         if self.obs is not None:
+            self._emit(task.task_id, "task.pull_issued")
             self._pull_spans[task.task_id] = self.obs.tracer.begin(
                 "task.pull_wait",
                 cat="task",
@@ -539,8 +537,8 @@ class SimWorker:
             )
             return
         self.stats.rpc_retries += 1
-        self._emit(-1, TaskEvent.RPC_RETRY, detail=float(pending.owner))
         if self.obs is not None:
+            self._emit(-1, "task.rpc_retry")
             self._m_retries.inc()
             self.obs.tracer.instant(
                 "rpc.retry",
@@ -628,7 +626,7 @@ class SimWorker:
         task.status = TaskStatus.READY
         if self.obs is not None:
             self.obs.tracer.finish(self._pull_spans.pop(task.task_id, None))
-        self._emit(task.task_id, TaskEvent.READY)
+            self._emit(task.task_id, "task.ready")
         self._enqueue_ready(task)
 
     # ------------------------------------------------------------------
@@ -687,9 +685,9 @@ class SimWorker:
         if self.verify is not None:
             self.verify.on_work(work, f"worker[{self.worker_id}].round")
         self.stats.rounds_executed += 1
-        self._emit(task.task_id, TaskEvent.EXECUTED, detail=task.round)
         round_span = None
         if self.obs is not None:
+            self._emit(task.task_id, "task.executed")
             self._m_rounds.inc()
             round_span = self.obs.tracer.begin(
                 "task.round",
@@ -803,7 +801,8 @@ class SimWorker:
             self.live_tasks.pop(task.task_id, None)
             self._unaccount_task(task)
             self.stats.tasks_migrated_out += 1
-            self._emit(task.task_id, TaskEvent.MIGRATED_OUT, detail=dest)
+            if self.obs is not None:
+                self._emit(task.task_id, "task.migrated_out")
             self.sent_tasks.setdefault(dest, []).append(copy.deepcopy(task))
         seq = self._next_seq
         self._next_seq += 1
@@ -841,7 +840,8 @@ class SimWorker:
             pending.attempts = 0
         else:
             self.stats.migration_retransmits += 1
-            self._emit(-1, TaskEvent.RPC_RETRY, detail=float(pending.dest))
+            if self.obs is not None:
+                self._emit(-1, "task.rpc_retry")
             migration = pending.migration
             self.cluster.network.send(
                 self.worker_id, pending.dest, migration.size_bytes(), migration
@@ -889,7 +889,8 @@ class SimWorker:
         for task in migration.tasks:
             task.owner_worker = self.worker_id
             self.stats.tasks_migrated_in += 1
-            self._emit(task.task_id, TaskEvent.MIGRATED_IN, detail=migration.source)
+            if self.obs is not None:
+                self._emit(task.task_id, "task.migrated_in")
             if self.faults_enabled:
                 # pairs with the sender's ``tasks_lost`` at ship time
                 self.controller.task_created()

@@ -4,7 +4,7 @@ The bridge from "models the paper's cluster" to "is itself fast":
 ``GMinerConfig(execution="native")`` (or ``repro.mine(...,
 execution="native")``) routes a job through :func:`run_native`, which
 executes the same tasks the simulator models across a multiprocess
-pool — per-worker chunk queues with seeded work stealing, the graph
+pool — chunks claimed off one shared cursor, the graph
 pickled once per worker, candidate-set work on the configured
 :mod:`repro.kernels` backend — and merges per-chunk outcomes by chunk
 id so results and total work-unit charges are bit-identical at any
@@ -23,7 +23,6 @@ unsurvivable ones raise a structured :class:`NativeChunkError`.
 
 from repro.native.chaos import FAULT_EXIT_CODE, NativeFaultPlan
 from repro.native.engine import (
-    STEAL_SEED,
     default_native_workers,
     graph_payload,
     run_native,
@@ -53,7 +52,6 @@ __all__ = [
     "FAULT_EXIT_CODE",
     "NativeChunkError",
     "NativeFaultPlan",
-    "STEAL_SEED",
     "Supervisor",
     "default_native_workers",
     "execute_chunk",

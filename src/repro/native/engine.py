@@ -6,16 +6,15 @@ simulator models — the six legacy workloads and any compiled
 pool and returns an ordinary :class:`~repro.core.job.JobResult`:
 
 * the seed-vertex space is cut into chunks (``native_chunk_size``)
-  assigned round-robin to per-worker queues;
-* idle workers *steal* from the tail of a seeded-random victim's
-  queue, so a straggler chunk never serialises the pool;
+  that workers claim one at a time off a shared cursor (dynamic
+  self-scheduling), so a straggler chunk never serialises the pool;
 * the graph (and app) is pickled **once** and shipped to each worker
   at spawn, with the pickled payload and the chunk layout memoised in
   the ambient :class:`~repro.parallel.cache.BuildCache` so repeated
   native runs skip serialisation entirely;
 * per-chunk outcomes are merged **by chunk id** — never by completion
   order — so the value, ``num_results`` and every stats entry are
-  bit-identical at any worker count and under any steal schedule;
+  bit-identical at any worker count and under any claim order;
 * the pool runs under the :mod:`~repro.native.supervisor`: worker
   deaths, hangs (chunk-lease deadlines) and transient chunk errors are
   retried/respawned within bounded budgets, poison chunks surface a
@@ -25,7 +24,7 @@ pool and returns an ordinary :class:`~repro.core.job.JobResult`:
 
 Total work units are accounted exactly as the simulator does (seed
 scan + per-round task charges); wall-clock time and schedule-dependent
-diagnostics (steal counts, pool size, crash/retry/respawn tallies)
+diagnostics (pool size, crash/retry/respawn tallies)
 live in ``result.native``, kept out of ``result.stats`` so stats stay
 byte-comparable across runs.
 
@@ -59,14 +58,12 @@ from repro.native.supervisor import (
     DEFAULT_CHUNK_DEADLINE,
     DEFAULT_MAX_CHUNK_RETRIES,
     DEFAULT_MAX_RESPAWNS,
-    STEAL_SEED,
     Supervisor,
 )
 from repro.obs import MASTER_TID, ObsSession, current_collector
 from repro.parallel.cache import get_build_cache
 
 __all__ = [
-    "STEAL_SEED",
     "default_native_workers",
     "graph_payload",
     "run_native",
@@ -128,7 +125,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 
 
 _ZERO_DIAG = {
-    "steals": 0,
     "crashes": 0,
     "hangs": 0,
     "retries": 0,
@@ -328,6 +324,8 @@ def run_native(
         "chunk_size": config.native_chunk_size,
         "wall_seconds": wall_seconds,
         "backend": backend or kernels.get_backend(),
+        # always 0 (one shared cursor); benchmarks/e2e/layers.py reads the key
+        "steals": 0,
         **diag,
     }
     if obs is not None:

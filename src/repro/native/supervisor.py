@@ -30,13 +30,13 @@ process dying:
   (the final fallback), so ``mine()`` returns either the exact answer
   or a precise diagnosis.
 
-Self-scheduling (the per-worker queues with seeded tail-stealing from
-PR 7) is preserved: the shared queue state outlives any individual
-worker, so a surviving or respawned worker claims the chunks a dead
-one never started, and only *claimed-but-unfinished* chunks need the
-supervisor's retry path.  Lease accounting follows the claim, not the
-queue: a stolen chunk is leased to the thief, so a thief's failure
-charges (and retries) the chunk exactly once.
+Workers self-schedule off one shared chunk cursor.  Chunk outcomes are
+pure and merged by chunk id, so the claim order protects no contract;
+the cursor outlives any individual worker, so a surviving or respawned
+worker claims the chunks a dead one never started, and only
+*claimed-but-unfinished* chunks need the supervisor's retry path.  The
+lease follows the claim: a chunk is leased to whichever worker took it,
+so that worker's failure charges (and retries) the chunk exactly once.
 
 Every message a worker emits may be lost at an abrupt death (that is
 what abrupt death means); the supervisor relies on shared memory plus
@@ -49,7 +49,6 @@ import multiprocessing
 import os
 import pickle
 import queue as queue_mod
-import random
 import time
 import traceback
 from collections import deque
@@ -73,11 +72,6 @@ DEFAULT_MAX_RESPAWNS = 2
 _TICK = 0.05
 #: Grace period for workers to drain and exit after a stop command.
 _STOP_GRACE = 5.0
-
-#: Fixed steal seed (same constant family as PR 7): victim selection
-#: is deterministic per (seed, slot) — though results never depend on
-#: the steal schedule in the first place.
-STEAL_SEED = 0xC0FFEE
 
 
 @dataclass
@@ -123,55 +117,31 @@ class NativeChunkError(RuntimeError):
 # ----------------------------------------------------------------------
 
 
-def _claim(
-    slot: int,
-    num_slots: int,
-    queues: Sequence[Sequence[int]],
-    counts,
-    holders,
-    leases,
-    rng: random.Random,
-    wid: int,
-) -> Tuple[Optional[int], bool]:
-    """Pop the next chunk id and record the lease, all under one lock.
+def _claim(next_chunk, num_chunks: int, holders, leases, wid: int) -> Optional[int]:
+    """Take the next unclaimed chunk id and record the lease, all under
+    one lock.
 
-    Own queue head first, else steal from the *tail* of a seeded-random
-    victim (the classic discipline).  The lease — holder id plus a
-    monotonic claim timestamp — is written inside the same critical
-    section, so the supervisor can never observe a claimed chunk
-    without its lease.
+    The lease — holder id plus a monotonic claim timestamp — is written
+    inside the same critical section that advances the cursor, so the
+    supervisor can never observe a claimed chunk without its lease.
     """
-    with counts.get_lock():
-        head, tail = counts[2 * slot], counts[2 * slot + 1]
-        if head < tail:
-            counts[2 * slot] = head + 1
-            chunk_id = queues[slot][head]
-            holders[chunk_id] = wid
-            leases[chunk_id] = time.monotonic()
-            return chunk_id, False
-        victims = [w for w in range(num_slots) if w != slot]
-        rng.shuffle(victims)
-        for victim in victims:
-            vhead, vtail = counts[2 * victim], counts[2 * victim + 1]
-            if vhead < vtail:
-                counts[2 * victim + 1] = vtail - 1
-                chunk_id = queues[victim][vtail - 1]
-                holders[chunk_id] = wid
-                leases[chunk_id] = time.monotonic()
-                return chunk_id, True
-    return None, False
+    with next_chunk.get_lock():
+        chunk_id = next_chunk.value
+        if chunk_id >= num_chunks:
+            return None
+        next_chunk.value = chunk_id + 1
+        holders[chunk_id] = wid
+        leases[chunk_id] = time.monotonic()
+        return chunk_id
 
 
 def _worker_main(
     wid: int,
-    slot: int,
-    num_slots: int,
     app_bytes: bytes,
     graph_bytes: bytes,
     backend: Optional[str],
     chunks: List[List[int]],
-    queues: List[List[int]],
-    counts,
+    next_chunk,
     holders,
     leases,
     fault_plan: Optional[NativeFaultPlan],
@@ -180,12 +150,12 @@ def _worker_main(
 ) -> None:
     """Pool-worker loop: self-schedule until dry, then serve retries.
 
-    Phase 1 claims/steals from the shared queues exactly like PR 7's
-    worker.  Once the queues are dry the worker announces ``idle`` and
-    blocks on its feed for supervisor-dispatched retries (``("exec",
-    chunk_id, attempt)``) until told to stop.  Respawned workers run
-    the same loop — phase 1 lets them pick up chunks a dead sibling
-    never started.
+    Phase 1 claims chunks off the shared cursor.  Once the cursor runs
+    past the last chunk the worker announces ``idle`` and blocks on its
+    feed for supervisor-dispatched retries (``("exec", chunk_id,
+    attempt)``) until told to stop.  Respawned workers run the same
+    loop — phase 1 lets them pick up chunks a dead sibling never
+    started.
 
     Injected faults fire at chunk pickup (crash/hang/slow) or as
     whole-chunk transient errors, never mid-chunk: a chunk either
@@ -195,10 +165,9 @@ def _worker_main(
         app = pickle.loads(app_bytes)
         graph = pickle.loads(graph_bytes)
         data_of = make_data_source(graph)
-        rng = random.Random(STEAL_SEED * 2654435761 + slot)
         claim_index = 0
 
-        def execute_one(chunk_id: int, attempt: int, stolen: bool) -> None:
+        def execute_one(chunk_id: int, attempt: int) -> None:
             nonlocal claim_index
             my_claim = claim_index
             claim_index += 1
@@ -216,9 +185,7 @@ def _worker_main(
                     time.sleep(duration if duration is not None else HANG_FOREVER)
                 failure = fault_plan.chunk_failure(chunk_id, attempt)
                 if failure is not None:
-                    out_queue.put(
-                        ("chunk-error", wid, chunk_id, attempt, failure, stolen)
-                    )
+                    out_queue.put(("chunk-error", wid, chunk_id, attempt, failure))
                     return
             try:
                 outcome = execute_chunk(
@@ -226,40 +193,29 @@ def _worker_main(
                 )
             except Exception:
                 out_queue.put(
-                    (
-                        "chunk-error",
-                        wid,
-                        chunk_id,
-                        attempt,
-                        traceback.format_exc(),
-                        stolen,
-                    )
+                    ("chunk-error", wid, chunk_id, attempt, traceback.format_exc())
                 )
                 return
-            out_queue.put(
-                ("chunk", outcome, {"wid": wid, "attempt": attempt, "stolen": stolen})
-            )
+            out_queue.put(("chunk", outcome))
 
         context = kernels.use_backend(backend) if backend else nullcontext()
         with context:
             while True:
-                chunk_id, stolen = _claim(
-                    slot, num_slots, queues, counts, holders, leases, rng, wid
-                )
+                chunk_id = _claim(next_chunk, len(chunks), holders, leases, wid)
                 if chunk_id is None:
                     break
-                execute_one(chunk_id, 0, stolen)
+                execute_one(chunk_id, 0)
             out_queue.put(("idle", wid))
             while True:
                 command = feed.get()
                 if command[0] == "stop":
                     break
                 _, chunk_id, attempt = command
-                with counts.get_lock():
+                with next_chunk.get_lock():
                     # refresh the lease at execution start: dispatch
                     # latency must not eat into the chunk's deadline
                     leases[chunk_id] = time.monotonic()
-                execute_one(chunk_id, attempt, False)
+                execute_one(chunk_id, attempt)
                 out_queue.put(("idle", wid))
         out_queue.put(("done", wid))
     except BaseException:  # ship the traceback; never hang the parent
@@ -279,7 +235,6 @@ class _Worker:
     """Parent-side handle for one pool process."""
 
     wid: int
-    slot: int
     proc: Any
     feed: Any
     idle: bool = False
@@ -326,7 +281,7 @@ class Supervisor:
         self.graph_bytes = graph_bytes
         self.backend = backend
         self.chunks = chunks
-        self.num_slots = num_workers
+        self.num_workers = num_workers
         self.fault_plan = fault_plan
         self.chunk_deadline = chunk_deadline
         self.max_chunk_retries = max_chunk_retries
@@ -344,14 +299,9 @@ class Supervisor:
         self.job_started = job_started if job_started is not None else time.monotonic()
 
         n = len(chunks)
-        queues: List[List[int]] = [[] for _ in range(num_workers)]
-        for chunk_id in range(n):
-            queues[chunk_id % num_workers].append(chunk_id)
-        self.queues = queues
-        self.counts = ctx.Array(
-            "l", [x for queue in queues for x in (0, len(queue))], lock=True
-        )
-        self.lock = self.counts.get_lock()
+        #: The shared cursor: id of the next chunk nobody has claimed.
+        self.next_chunk = ctx.Value("l", 0, lock=True)
+        self.lock = self.next_chunk.get_lock()
         self.holders = ctx.Array("l", [-1] * max(n, 1), lock=False)
         self.leases = ctx.Array("d", [0.0] * max(n, 1), lock=False)
         self.out_queue = ctx.Queue()
@@ -367,7 +317,6 @@ class Supervisor:
         self.quarantined: Set[int] = set()
 
         self.diag: Dict[str, int] = {
-            "steals": 0,
             "crashes": 0,
             "hangs": 0,
             "retries": 0,
@@ -410,8 +359,8 @@ class Supervisor:
 
     def run(self) -> Tuple[Dict[int, ChunkOutcome], Dict[str, int]]:
         try:
-            for slot in range(self.num_slots):
-                self._spawn(slot)
+            for _ in range(self.num_workers):
+                self._spawn()
             self._loop()
             if self._remaining() > 0 and not self.workers:
                 # the pool is gone and the respawn budget is spent:
@@ -434,7 +383,7 @@ class Supervisor:
             )
         return self.outcomes, self.diag
 
-    def _spawn(self, slot: int) -> _Worker:
+    def _spawn(self) -> _Worker:
         wid = self.next_wid
         self.next_wid += 1
         feed = self.ctx.Queue()
@@ -442,14 +391,11 @@ class Supervisor:
             target=_worker_main,
             args=(
                 wid,
-                slot,
-                self.num_slots,
                 self.app_bytes,
                 self.graph_bytes,
                 self.backend,
                 self.chunks,
-                self.queues,
-                self.counts,
+                self.next_chunk,
                 self.holders,
                 self.leases,
                 self.fault_plan,
@@ -458,7 +404,7 @@ class Supervisor:
             ),
             daemon=True,
         )
-        worker = _Worker(wid=wid, slot=slot, proc=proc, feed=feed)
+        worker = _Worker(wid=wid, proc=proc, feed=feed)
         self.workers[wid] = worker
         proc.start()
         return worker
@@ -506,8 +452,7 @@ class Supervisor:
     def _on_message(self, message: Tuple) -> None:
         kind = message[0]
         if kind == "chunk":
-            _, outcome, meta = message
-            self.diag["steals"] += int(meta["stolen"])
+            outcome = message[1]
             chunk_id = outcome.chunk_id
             if chunk_id not in self.outcomes:
                 # first result wins; a quarantined chunk that somehow
@@ -516,10 +461,9 @@ class Supervisor:
                 self.quarantined.discard(chunk_id)
                 self.outcomes[chunk_id] = outcome
         elif kind == "chunk-error":
-            _, wid, chunk_id, attempt, error, stolen = message
+            _, wid, chunk_id, attempt, error = message
             if wid not in self.workers:
                 return  # stale message from a worker already reaped
-            self.diag["steals"] += int(stolen)
             self._count("chunk_errors")
             if self.obs is not None:
                 self.obs.tracer.instant(
@@ -619,7 +563,7 @@ class Supervisor:
 
     def _worker_died(self, wid: int, reason: str, kind: str) -> None:
         """A worker is gone (or being put down): forfeit its chunks,
-        count the event, and respawn into its slot if budget allows."""
+        count the event, and respawn a replacement if budget allows."""
         worker = self.workers.pop(wid, None)
         if worker is None:
             return
@@ -644,13 +588,10 @@ class Supervisor:
             self._record_failure(chunk_id, f"attempt forfeited: {reason}")
         if self._remaining() > 0 and self.diag["respawns"] < self.max_respawns:
             self._count("respawns")
-            replacement = self._spawn(worker.slot)
+            replacement = self._spawn()
             if self.obs is not None:
                 self.obs.tracer.instant(
-                    "native.respawn",
-                    cat="native",
-                    tid=replacement.wid,
-                    slot=worker.slot,
+                    "native.respawn", cat="native", tid=replacement.wid
                 )
 
     def _terminate(self, proc) -> None:

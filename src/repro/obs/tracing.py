@@ -7,12 +7,10 @@ the master), optionally nested under a parent span id.  The
 together with the simulator's deterministic event order — makes two
 same-seed runs produce identical span lists.
 
-This subsumes :mod:`repro.core.tracing`'s flat task log: every task
-lifecycle event can also be recorded as an instant, and the phases the
-log only implied (pull wait, execute round, RPC round trip, recovery)
-become real intervals that render as bars in ``chrome://tracing`` /
-Perfetto.  The old :class:`~repro.core.tracing.TraceLog` remains the
-cheap aggregate-query layer behind ``enable_tracing``.
+This is the engine's only tracer: every task lifecycle transition is
+recorded as an instant, and the phases between them (pull wait, execute
+round, RPC round trip, recovery) are real intervals that render as bars
+in ``chrome://tracing`` / Perfetto.
 
 Span taxonomy (category → names):
 
@@ -24,7 +22,11 @@ Span taxonomy (category → names):
   ``rpc.retry`` instants
 * ``fault``  — ``checkpoint`` instants, ``worker.recovery`` intervals,
   suspect/confirm/readmit instants
-* ``lifecycle`` — instants mirroring :class:`repro.core.tracing.TaskEvent`
+* ``lifecycle`` — one instant per task transition: ``task.seeded``,
+  ``task.buffered``, ``task.stored``, ``task.dequeued``,
+  ``task.pull_issued``, ``task.ready``, ``task.executed``,
+  ``task.migrated_out``, ``task.migrated_in``, ``task.finished``,
+  plus ``task.rpc_retry`` (a timed-out pull or migration retransmitted)
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class Tracer:
     ``clock`` returns the current simulated time; spans never touch the
     wall clock, which is what keeps traces deterministic.  Past
     ``capacity`` spans the tracer drops (and counts) instead of
-    growing without bound — mirroring ``TraceLog``'s policy.
+    growing without bound.
     """
 
     def __init__(self, clock: Callable[[], float], capacity: int = 500_000) -> None:

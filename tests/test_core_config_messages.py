@@ -1,7 +1,12 @@
 """Unit tests for configuration validation and the message vocabulary."""
 
+import dataclasses
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro.core.config import GMinerConfig
 from repro.core.messages import (
     AggBroadcast,
@@ -44,6 +49,28 @@ class TestConfig:
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             GMinerConfig().replace(**{field: value}).validate()
+
+    def test_every_config_field_is_read(self):
+        """The knob audit: a field nothing reads is dead weight on every
+        config, and a new one must come with the code that consumes it."""
+        names = [f.name for f in dataclasses.fields(GMinerConfig)]
+        assert len(names) == 41
+        root = pathlib.Path(repro.__file__).parent
+        config_py = root / "core" / "config.py"
+        sources = [
+            path.read_text(encoding="utf-8")
+            for path in sorted(root.rglob("*.py"))
+            if path != config_py
+        ]
+        # inside config.py only what precedes validate() counts (that is
+        # sketch_params()): a range check alone is not a use
+        config_text = config_py.read_text(encoding="utf-8")
+        sources.append(config_text.split("    def validate(")[0])
+        unread = [
+            name for name in names
+            if not any(re.search(rf"\.{name}\b(?!\s*=[^=])", text) for text in sources)
+        ]
+        assert unread == []
 
 
 class _T(Task):

@@ -42,12 +42,12 @@ class TestJobDeterminism:
             enable_splitting=True,
             split_candidate_threshold=16,
             checkpoint_interval=0.05,
-            enable_tracing=True,
+            enable_obs=True,
         )
         a = GMinerJob(GraphMatchingApp(), small_labeled_graph, config).run()
         b = GMinerJob(GraphMatchingApp(), small_labeled_graph, config).run()
         assert fingerprint(a) == fingerprint(b)
-        assert len(a.trace) == len(b.trace)
+        assert len(a.obs["spans"]) == len(b.obs["spans"]) > 0
 
     def test_datasets_are_stable(self):
         """The registry's graphs never change under the same seeds —

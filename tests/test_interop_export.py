@@ -7,11 +7,7 @@ import pytest
 networkx = pytest.importorskip("networkx")
 
 from repro.apps import MaxCliqueApp, TriangleCountingApp
-from repro.bench.export import (
-    experiment_report_to_dict,
-    job_result_to_dict,
-    save_json,
-)
+from repro.bench.export import experiment_report_to_dict, save_json
 from repro.bench.report import ExperimentReport
 from repro.core import GMinerConfig, GMinerJob
 from repro.graph.algorithms import triangle_count_exact
@@ -58,7 +54,7 @@ class TestNetworkXInterop:
 class TestJSONExport:
     @pytest.fixture
     def result(self, small_social_graph, small_spec):
-        config = GMinerConfig(cluster=small_spec, enable_tracing=True)
+        config = GMinerConfig(cluster=small_spec, enable_obs=True)
         return GMinerJob(MaxCliqueApp(), small_social_graph, config).run()
 
     def test_job_result_roundtrips_through_json(self, result):
@@ -69,12 +65,9 @@ class TestJSONExport:
         assert loaded["app"] == "mcf"
         assert loaded["total_seconds"] == pytest.approx(result.total_seconds)
         assert "utilization" in loaded
-        assert "trace_summary" in loaded
-
-    def test_deprecated_export_path_raises(self, result):
-        # the deprecation cycle is over: the shim is a tombstone
-        with pytest.raises(TypeError, match="to_dict"):
-            job_result_to_dict(result)
+        assert loaded["obs"]["schema"] == result.obs["schema"]
+        assert loaded["obs"]["num_spans"] == len(result.obs["spans"]) > 0
+        assert loaded["obs"]["metrics"] == result.obs["metrics"]
 
     def test_value_serialised(self, result):
         record = result.to_dict()

@@ -10,7 +10,7 @@ Three families of guarantees:
   bound, a schedule artefact) still agrees on the answer and the
   aggregated bound;
 * **native determinism** — the full result is byte-identical across
-  worker counts and repeated runs, the steal schedule notwithstanding;
+  worker counts and repeated runs, the claim order notwithstanding;
 * **refusals and knobs** — failure plans fail fast, config validation
   rejects nonsense, ``backend="auto"`` never changes explicit-backend
   results, ``explain=True`` runs nothing.
@@ -52,7 +52,7 @@ from .conftest import make_clustered_graph
 WORKER_COUNTS = tuple(
     int(w) for w in os.environ["REPRO_NATIVE_TEST_WORKERS"].split(",")
 ) if os.environ.get("REPRO_NATIVE_TEST_WORKERS") else (1, 2, 4)
-#: Small chunks so even the test graphs exercise stealing at 2+ workers.
+#: Small chunks so even the test graphs give 2+ workers several claims each.
 CHUNK = 16
 
 
@@ -266,22 +266,19 @@ def test_fewer_chunks_than_workers_clamps_pool():
     assert _comparable_dict(clamped) == _comparable_dict(serial)
 
 
-def test_stolen_chunk_failure_retried_exactly_once():
-    """Lease-owner accounting under steal-then-fail.
+def test_claimed_chunk_failure_retried_exactly_once():
+    """Lease-owner accounting: the lease follows the claimer.
 
-    Worker 0 is made a straggler, so worker 1 drains its own queue and
-    steals from worker 0's tail — including the flaky chunk (the tail
-    of slot 0's round-robin queue).  The lease follows the *thief*, so
-    the thief's transient failure charges the chunk exactly one attempt
-    and it is retried exactly once, with the final result bit-identical
-    to the fault-free run.
+    Worker 0 is made a straggler, so whichever worker reaches the flaky
+    last chunk on the shared cursor is not known in advance.  A chunk
+    that fails on the worker that claimed it is charged exactly one
+    attempt and retried exactly once, with the final result
+    bit-identical to the fault-free run.
     """
     from repro.native import NativeFaultPlan
 
     graph = make_clustered_graph()
-    chunks = seed_chunks(graph, 8)
-    flaky = len(chunks) - 1 if (len(chunks) - 1) % 2 == 0 else len(chunks) - 2
-    assert flaky % 2 == 0  # lives in slot 0's queue (round-robin)
+    flaky = len(seed_chunks(graph, 8)) - 1
     plan = (
         NativeFaultPlan(seed=3)
         .slow(0, delay=0.15)
@@ -292,11 +289,53 @@ def test_stolen_chunk_failure_retried_exactly_once():
     )
     chaotic = GMinerJob(TriangleCountingApp(), graph, config, plan).run()
     clean = GMinerJob(TriangleCountingApp(), graph, config).run()
-    assert chaotic.native["steals"] >= 1
     assert chaotic.native["chunk_errors"] == 1
     assert chaotic.native["retries"] == 1
     assert chaotic.native["crashes"] == 0
     assert _comparable_dict(chaotic) == _comparable_dict(clean)
+
+
+def _drain_cursor(next_chunk, num_chunks, holders, leases, wid, claimed):
+    from repro.native.supervisor import _claim
+
+    mine = []
+    while True:
+        chunk_id = _claim(next_chunk, num_chunks, holders, leases, wid)
+        if chunk_id is None:
+            break
+        mine.append(chunk_id)
+    claimed.put((wid, mine))
+
+
+def test_shared_cursor_hands_out_every_chunk_exactly_once():
+    """More claimers than cores racing one cursor: a lost update would
+    hand a chunk out twice or skip one, and every claimed chunk is
+    leased to its claimer."""
+    from repro.native.engine import _pool_context
+
+    ctx = _pool_context()
+    num_chunks, claimers = 2000, 2 * (os.cpu_count() or 1) + 2
+    next_chunk = ctx.Value("l", 0, lock=True)
+    holders = ctx.Array("l", [-1] * num_chunks, lock=False)
+    leases = ctx.Array("d", [0.0] * num_chunks, lock=False)
+    claimed = ctx.Queue()
+    procs = [
+        ctx.Process(
+            target=_drain_cursor,
+            args=(next_chunk, num_chunks, holders, leases, wid, claimed),
+        )
+        for wid in range(claimers)
+    ]
+    for proc in procs:
+        proc.start()
+    per_worker = [claimed.get(timeout=60.0) for _ in procs]  # drain, then join
+    for proc in procs:
+        proc.join(timeout=10.0)
+        assert not proc.is_alive()
+    assert sorted(c for _, mine in per_worker for c in mine) == list(range(num_chunks))
+    assert next_chunk.value == num_chunks
+    assert all(holders[c] == wid for wid, mine in per_worker for c in mine)
+    assert all(lease > 0.0 for lease in leases)
 
 
 def test_failed_run_leaves_no_live_children(monkeypatch):

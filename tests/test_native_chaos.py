@@ -154,7 +154,7 @@ def test_every_schedule_bit_identical_on_tc(schedule):
     )
     # finite-hang: a survived stall leaves no tally.  crash-late: the
     # crash arms on worker 1's *second* claim, which small hosts (few
-    # cores → few live workers → chunk 1 drained by worker 0's steals)
+    # cores → few live workers → worker 0 claims every remaining chunk)
     # may never reach — the bit-identity assertion above still holds
     # either way, which is the point of the contract.
     if name not in ("finite-hang", "crash-late"):
@@ -276,7 +276,7 @@ def test_real_exception_surfaces_traceback():
 
 def test_unsurvivable_hang_fails_instead_of_hanging():
     graph = make_clustered_graph()
-    # both slots hang on their first pickup, no respawns, no retries:
+    # both workers hang on their first pickup, no respawns, no retries:
     # lease expiry must quarantine the held chunks and fail the run
     plan = NativeFaultPlan(seed=47).hang(on_claim=0)
     with pytest.raises(NativeChunkError) as excinfo:

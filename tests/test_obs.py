@@ -14,7 +14,9 @@ import json
 
 import pytest
 
+from repro.apps import TriangleCountingApp
 from repro.bench.runner import run
+from repro.core import GMinerConfig, GMinerJob
 from repro.obs import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
@@ -200,6 +202,54 @@ class TestOverheadAndEquivalence:
         assert len(collector) == 1
         assert result.obs is not None
         assert collector.runs[0] is result.obs
+
+
+# ----------------------------------------------------------------------
+# The task lifecycle, read from a job's spans
+# ----------------------------------------------------------------------
+
+
+class TestTracedJob:
+    @pytest.fixture
+    def traced(self, small_social_graph, small_spec):
+        config = GMinerConfig(cluster=small_spec, enable_obs=True)
+        return GMinerJob(TriangleCountingApp(), small_social_graph, config).run()
+
+    @staticmethod
+    def _named(result, name):
+        return [s for s in result.obs["spans"] if s["name"] == name]
+
+    def test_job_trace_covers_every_task(self, traced):
+        # every created task was seeded and finished exactly once
+        created = traced.stats["tasks_created"]
+        assert created > 0
+        assert len(self._named(traced, "task.seeded")) == created
+        assert len(self._named(traced, "task.finished")) == created
+        # rounds in the trace agree with the runtime counters
+        rounds = traced.stats["rounds_executed"]
+        assert len(self._named(traced, "task.round")) == rounds
+        assert len(self._named(traced, "task.executed")) == rounds
+
+    def test_task_timelines_are_causally_ordered(self, traced):
+        lifecycle = [s for s in traced.obs["spans"] if s["cat"] == "lifecycle"]
+        finished = [s["args"]["task"] for s in self._named(traced, "task.finished")]
+        assert finished
+        for task in finished[:20]:
+            timeline = [s for s in lifecycle if s["args"]["task"] == task]
+            times = [s["start"] for s in timeline]
+            assert times == sorted(times)
+            assert timeline[0]["name"] in ("task.seeded", "task.migrated_in")
+            assert timeline[-1]["name"] == "task.finished"
+
+    def test_tracing_off_by_default(self, small_social_graph, small_spec):
+        config = GMinerConfig(cluster=small_spec)
+        result = GMinerJob(TriangleCountingApp(), small_social_graph, config).run()
+        assert result.obs is None
+
+    def test_pull_latencies_recorded(self, traced):
+        waits = self._named(traced, "task.pull_wait")
+        assert waits
+        assert all(s["end"] - s["start"] >= 0 for s in waits)
 
 
 # ----------------------------------------------------------------------

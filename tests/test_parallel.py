@@ -1,9 +1,8 @@
-"""Tests for repro.parallel: pool fan-out, build cache, API shims."""
+"""Tests for repro.parallel: pool fan-out, build cache, the run() API."""
 
 import pytest
 
 from repro.bench import run
-from repro.bench.runner import run_gminer, run_system
 from repro.graph.datasets import clear_dataset_cache, load_dataset
 from repro.parallel import (
     BuildCache,
@@ -173,27 +172,6 @@ class TestRunAPI:
             workload="tc", dataset="skitter-s", spec=FAST_SPEC, partitioner="hash"
         )
         assert r.ok
-
-    def test_run_gminer_tombstone_raises(self):
-        with pytest.raises(TypeError, match="repro.bench.run"):
-            run_gminer("tc", "skitter-s", spec=FAST_SPEC)
-
-    def test_run_system_tombstone_raises(self):
-        with pytest.raises(TypeError, match="repro.bench.run"):
-            run_system("gthinker", "tc", "skitter-s", spec=FAST_SPEC)
-
-    def test_shims_not_exported_from_bench(self):
-        import repro.bench
-
-        assert not hasattr(repro.bench, "run_gminer")
-        assert not hasattr(repro.bench, "run_system")
-
-    def test_job_result_to_dict_tombstone_raises(self):
-        from repro.bench.export import job_result_to_dict
-
-        result = run(workload="tc", dataset="skitter-s", spec=FAST_SPEC)
-        with pytest.raises(TypeError, match="to_dict"):
-            job_result_to_dict(result)
 
 
 class TestConfigFailFast:
