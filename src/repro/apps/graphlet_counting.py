@@ -30,6 +30,9 @@ class GLTask(Task):
         self.known: Dict[int, VertexData] = {seed.vid: seed}
         self.pull(u for u in seed.neighbors if u > seed.vid)
 
+    def _clone_extra(self, out: Task) -> None:
+        out.known = dict(self.known)  # vertex records are frozen
+
     def context_size(self) -> int:
         return sum(16 + 8 * len(d.neighbors) for d in self.known.values())
 

@@ -225,7 +225,7 @@ def _worker_compute(cluster, bw: _BatchWorker, owner, live, arrive) -> None:
         if task.finished:
             if task.result is not None:
                 bw.results[task.task_id] = task.result
-            node.free(getattr(task, "_accounted_size", task.estimate_size()))
+            node.free(task._accounted_size)
             live["n"] -= 1
             return
         remote = [v for v in task.to_pull if v not in bw.vertex_table]
@@ -265,13 +265,12 @@ def _worker_compute(cluster, bw: _BatchWorker, owner, live, arrive) -> None:
             work = task.run_round(cand_objs, env)
 
             def on_done():
-                old = getattr(task, "_accounted_size", 0)
-                new = task.estimate_size()
+                old = task._accounted_size
+                new = task._accounted_size = task.estimate_size()
                 if new > old:
                     node.allocate(new - old, "batch task growth")
                 else:
                     node.free(old - new)
-                setattr(task, "_accounted_size", new)
                 finish_round(task)
                 done()
 
@@ -288,7 +287,7 @@ def _worker_compute(cluster, bw: _BatchWorker, owner, live, arrive) -> None:
         arrive()
         return
     for task in tasks:
-        setattr(task, "_accounted_size", task.estimate_size())
+        task._accounted_size = task.estimate_size()
         submit(task)
 
 

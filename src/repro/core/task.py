@@ -19,6 +19,7 @@ cores can account it.
 
 from __future__ import annotations
 
+import copy
 import enum
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -77,6 +78,15 @@ class TaskEnv:
             self._push(value)
 
 
+#: The attributes :meth:`Task.__init__` declares (and :meth:`Task.clone`
+#: handles itself); anything else on an instance is subclass state.
+_BASE_FIELDS = frozenset({
+    "task_id", "seed", "subgraph", "candidates", "context", "round", "status",
+    "owner_worker", "to_pull", "_finished", "result", "_work_units",
+    "_held_refs", "_accounted_size",
+})
+
+
 class Task:
     """Base class for application tasks (the paper's ``Task`` template).
 
@@ -101,6 +111,10 @@ class Task:
         self._finished = False
         self.result: Any = None
         self._work_units = 0.0
+        # runtime bookkeeping: the cached/overflow vertices this task
+        # currently pins, and the bytes its worker has accounted for it
+        self._held_refs: Set[int] = set()
+        self._accounted_size = 0
 
     # -- API used inside update() -------------------------------------
 
@@ -161,6 +175,30 @@ class Task:
         self.to_pull = set()
         self.update(cand_objs, env)
         return self.take_work()
+
+    def clone(self) -> "Task":
+        """Independent copy, as logged on migration and written to a
+        checkpoint: equal state, no mutable member shared.  Immutable
+        members (ids, counters, flags, the frozen seed record) are
+        shared; the mutable ones declared here are copied by hand."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        out.subgraph = self.subgraph.copy()
+        out.candidates = list(self.candidates)
+        out.to_pull = set(self.to_pull)
+        out._held_refs = set(self._held_refs)
+        out.context = copy.deepcopy(self.context)
+        out.result = copy.deepcopy(self.result)
+        self._clone_extra(out)
+        return out
+
+    def _clone_extra(self, out: "Task") -> None:
+        """Give ``out`` its own copy of the subclass's mutable members.
+        The default deep-copies every attribute :class:`Task` does not
+        declare (always correct); a subclass holding immutable records
+        in plain containers overrides it to copy the containers only."""
+        for name in self.__dict__.keys() - _BASE_FIELDS:
+            setattr(out, name, copy.deepcopy(getattr(self, name)))
 
     # -- cost model ---------------------------------------------------------
 

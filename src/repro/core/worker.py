@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -134,7 +135,7 @@ class SimWorker:
             disk=node.disk,
             block_tasks=config.store_block_tasks,
             lsh=lsh,
-            on_alloc=lambda n: self._alloc(n, "task store"),
+            on_alloc=lambda n: node.allocate(n, "task store"),
             on_free=node.free,
             notify=self._pump_retriever,
             block_bytes=config.store_block_bytes,
@@ -147,7 +148,7 @@ class SimWorker:
             RCVCache(
                 capacity_bytes=config.cache_capacity_bytes // k,
                 policy=CachePolicy(config.cache_policy),
-                on_alloc=lambda n: self._alloc(n, "RCV cache"),
+                on_alloc=lambda n: node.allocate(n, "RCV cache"),
                 on_free=node.free,
             )
             for _ in range(k)
@@ -235,16 +236,14 @@ class SimWorker:
     # memory helpers
     # ------------------------------------------------------------------
 
-    def _alloc(self, nbytes: int, what: str) -> None:
-        self.node.allocate(nbytes, what=f"worker {self.worker_id} {what}")
-
-    def _account_task(self, task: Task) -> None:
-        size = task.estimate_size()
-        setattr(task, "_accounted_size", size)
-        self._alloc(size, "task")
-
-    def _unaccount_task(self, task: Task) -> None:
-        self.node.free(getattr(task, "_accounted_size", task.estimate_size()))
+    def _adopt(self, task: Task, created: bool = True) -> None:
+        """``task`` becomes this worker's: owned, live and accounted."""
+        task.owner_worker = self.worker_id
+        if created:
+            self.controller.task_created()
+        self.live_tasks[task.task_id] = task
+        size = task._accounted_size = task.estimate_size()
+        self.node.allocate(size, "task")
 
     @property
     def cache(self) -> RCVCache:
@@ -256,13 +255,12 @@ class SimWorker:
         return self.caches[task_id % len(self.caches)]
 
     def _reaccount_task(self, task: Task) -> None:
-        old = getattr(task, "_accounted_size", 0)
-        new = task.estimate_size()
+        old = task._accounted_size
+        new = task._accounted_size = task.estimate_size()
         if new > old:
-            self._alloc(new - old, "task growth")
+            self.node.allocate(new - old, "task growth")
         else:
             self.node.free(old - new)
-        setattr(task, "_accounted_size", new)
 
     # ------------------------------------------------------------------
     # setup: partition loading and task seeding
@@ -272,7 +270,7 @@ class SimWorker:
         """Install the partition assigned to this worker."""
         self.vertex_table = dict(vertices)
         total = sum(v.estimate_size() for v in vertices.values())
-        self._alloc(total, "vertex table")
+        self.node.allocate(total, "vertex table")
 
     def seed_tasks(self, chunk_size: int = 256) -> None:
         """Run the task generator: scan the vertex table, create one
@@ -301,7 +299,6 @@ class SimWorker:
                     work += self.app.seed_cost(vertex)
                     task = self.app.make_task(vertex)
                     if task is not None:
-                        task.owner_worker = self.worker_id
                         tasks.append(task)
                 if self.verify is not None:
                     self.verify.on_work(work, f"worker[{self.worker_id}].seed")
@@ -311,9 +308,7 @@ class SimWorker:
                         self._m_seeded.inc(len(tasks))
                     for task in tasks:
                         self.stats.tasks_seeded += 1
-                        self.controller.task_created()
-                        self.live_tasks[task.task_id] = task
-                        self._account_task(task)
+                        self._adopt(task)
                         if self.obs is not None:
                             self._emit(task.task_id, "task.seeded")
                         self._route(task)
@@ -372,7 +367,7 @@ class SimWorker:
         self.live_tasks.pop(task.task_id, None)
         if task.result is not None:
             self.results[task.task_id] = task.result
-        self._unaccount_task(task)
+        self.node.free(task._accounted_size)
         self.stats.tasks_completed += 1
         if self.obs is not None:
             self._emit(task.task_id, "task.finished")
@@ -402,22 +397,22 @@ class SimWorker:
     def _process_dequeued(self, task: Task) -> None:
         if self.obs is not None:
             self._emit(task.task_id, "task.dequeued")
-        held: Set[int] = getattr(task, "_held_refs", set())
+        held = task._held_refs
+        cache = self._cache_of(task.task_id)
+        overflow = self.overflow
         need_pull: List[int] = []
         for vid in sorted(task.to_pull):
             if vid in held:
                 continue
-            cache = self._cache_of(task.task_id)
             if cache.lookup(vid) is not None:
                 cache.addref(vid)
                 held.add(vid)
-            elif vid in self.overflow:
-                data, refs = self.overflow[vid]
-                self.overflow[vid] = (data, refs + 1)
+            elif vid in overflow:
+                data, refs = overflow[vid]
+                overflow[vid] = (data, refs + 1)
                 held.add(vid)
             else:
                 need_pull.append(vid)
-        setattr(task, "_held_refs", held)
         if not need_pull:
             self._mark_ready(task)
             return
@@ -581,40 +576,37 @@ class SimWorker:
             self._completed_seqs.add(response.seq)
         if self.obs is not None and response.vertices:
             self._m_vertices.inc(len(response.vertices))
+        self.stats.vertices_pulled += len(response.vertices)
+        caches, cmq, inflight = self.caches, self.cmq, self.inflight
         ready: List[Task] = []
         for data in response.vertices:
-            self.stats.vertices_pulled += 1
-            waiters = self.inflight.pop(data.vid, [])
-            live_waiters = [t for t in waiters if t in self.cmq]
-            # without cross-process sharing each waiting task's process
-            # stores its own copy (the §5.1 multi-process cost); the
-            # default single process inserts once with the full count
-            by_process: Dict[int, List[int]] = {}
-            for task_id in live_waiters:
-                by_process.setdefault(task_id % len(self.caches), []).append(task_id)
-            stored_everywhere = True
-            for process, group in sorted(by_process.items()):
-                if not self.caches[process].insert(data, refs=len(group)):
-                    stored_everywhere = False
-            if not live_waiters:
-                # every waiter died in flight: cache opportunistically,
-                # nothing to pin
-                self.caches[0].insert(data, refs=0)
-            elif not stored_everywhere:
+            vid = data.vid
+            live_waiters = [t for t in inflight.pop(vid, ()) if t in cmq]
+            if len(caches) == 1 or not live_waiters:
+                # one shared cache holds one copy pinned by every
+                # waiter; with no waiter left (all died in flight) the
+                # vertex is cached opportunistically with nothing to pin
+                stored = caches[0].insert(data, refs=len(live_waiters))
+            else:
+                # without cross-process sharing each waiting task's
+                # process stores its own copy (the §5.1 multi-process
+                # cost); a list, so no insert is skipped after a refusal
+                groups = Counter(t % len(caches) for t in live_waiters)
+                stored = all(
+                    [caches[p].insert(data, refs=n) for p, n in sorted(groups.items())]
+                )
+            if live_waiters and not stored:
                 # a cache cannot make room (all entries referenced, or
                 # the vertex alone exceeds capacity): bypass into
                 # overflow so the pipeline never deadlocks (§7's
                 # "sleep" case).
-                size = data.estimate_size()
-                self._alloc(size, "cache overflow")
-                self.overflow[data.vid] = (data, len(live_waiters))
+                self.node.allocate(data.estimate_size(), "cache overflow")
+                self.overflow[vid] = (data, len(live_waiters))
             for task_id in live_waiters:
-                pending = self.cmq[task_id]
-                held = getattr(pending.task, "_held_refs", set())
-                held.add(data.vid)
-                setattr(pending.task, "_held_refs", held)
-                pending.remaining.discard(data.vid)
-                pending.parked.discard(data.vid)
+                pending = cmq[task_id]
+                pending.task._held_refs.add(vid)
+                pending.remaining.discard(vid)
+                pending.parked.discard(vid)
                 if not pending.remaining:
                     ready.append(pending.task)
         for task in ready:
@@ -640,12 +632,13 @@ class SimWorker:
         """Collect candidate vertex objects; report evicted ones."""
         cand_objs: Dict[int, VertexData] = {}
         missing: List[int] = []
+        cache = self._cache_of(task.task_id)
         for vid in task.candidates:
             local = self.vertex_table.get(vid)
             if local is not None:
                 cand_objs[vid] = local
                 continue
-            cached = self._cache_of(task.task_id).peek(vid)
+            cached = cache.peek(vid)
             if cached is not None:
                 cand_objs[vid] = cached
                 continue
@@ -707,10 +700,7 @@ class SimWorker:
             self._reaccount_task(task)
             children = task.spawn()
             for child in children:
-                child.owner_worker = self.worker_id
-                self.controller.task_created()
-                self.live_tasks[child.task_id] = child
-                self._account_task(child)
+                self._adopt(child)
                 self._route(child)
             if (
                 self.config.enable_splitting
@@ -720,10 +710,7 @@ class SimWorker:
                 parts = task.split()
                 if parts:
                     for part in parts:
-                        part.owner_worker = self.worker_id
-                        self.controller.task_created()
-                        self.live_tasks[part.task_id] = part
-                        self._account_task(part)
+                        self._adopt(part)
                         self._route(part)
                     task.finish()
             self._route(task)
@@ -734,19 +721,19 @@ class SimWorker:
         return (work, done)
 
     def _release_refs(self, task: Task) -> None:
-        held: Set[int] = getattr(task, "_held_refs", set())
         cache = self._cache_of(task.task_id)
-        for vid in held:
-            if vid in self.overflow:
-                data, refs = self.overflow[vid]
+        overflow = self.overflow
+        for vid in task._held_refs:
+            if vid in overflow:
+                data, refs = overflow[vid]
                 if refs <= 1:
-                    del self.overflow[vid]
+                    del overflow[vid]
                     self.node.free(data.estimate_size())
                 else:
-                    self.overflow[vid] = (data, refs - 1)
+                    overflow[vid] = (data, refs - 1)
             else:
                 cache.release(vid)
-        setattr(task, "_held_refs", set())
+        task._held_refs = set()
 
     # ------------------------------------------------------------------
     # idle detection & task stealing (§6.2)
@@ -799,11 +786,11 @@ class SimWorker:
             return
         for task in tasks:
             self.live_tasks.pop(task.task_id, None)
-            self._unaccount_task(task)
+            self.node.free(task._accounted_size)
             self.stats.tasks_migrated_out += 1
             if self.obs is not None:
                 self._emit(task.task_id, "task.migrated_out")
-            self.sent_tasks.setdefault(dest, []).append(copy.deepcopy(task))
+            self.sent_tasks.setdefault(dest, []).append(task.clone())
         seq = self._next_seq
         self._next_seq += 1
         migration = TaskMigration(source=self.worker_id, tasks=tasks, seq=seq)
@@ -887,24 +874,18 @@ class SimWorker:
                 return
             self._seen_migrations.add(key)
         for task in migration.tasks:
-            task.owner_worker = self.worker_id
             self.stats.tasks_migrated_in += 1
             if self.obs is not None:
                 self._emit(task.task_id, "task.migrated_in")
-            if self.faults_enabled:
-                # pairs with the sender's ``tasks_lost`` at ship time
-                self.controller.task_created()
-            self.live_tasks[task.task_id] = task
-            self._account_task(task)
+            # under faults the count pairs with the sender's
+            # ``tasks_lost`` at ship time
+            self._adopt(task, created=self.faults_enabled)
             task.status = TaskStatus.INACTIVE
             # what is "remote" changed with the move: recompute the
             # pull set relative to this worker's partition
-            task.to_pull = set(self._remote_needed_from_candidates(task))
+            task.to_pull = {v for v in task.candidates if v not in self.vertex_table}
             self.task_buffer.append(task)
         self._flush_buffer(force=True)
-
-    def _remote_needed_from_candidates(self, task: Task) -> List[int]:
-        return [v for v in task.candidates if v not in self.vertex_table]
 
     def _on_no_task(self) -> None:
         self._steal_pending = False
@@ -975,12 +956,12 @@ class SimWorker:
                 if t.result is not None:
                     results[t.task_id] = t.result
             else:
-                tasks.append(copy.deepcopy(t))
+                tasks.append(t.clone())
         # sender-side logging: unacked outbound migrations are still
         # this worker's responsibility — without them, a crash after a
         # lost migration message would lose the tasks forever
         for pending in self._pending_migrations.values():
-            tasks.extend(copy.deepcopy(t) for t in pending.migration.tasks)
+            tasks.extend(t.clone() for t in pending.migration.tasks)
         snapshot = {
             "tasks": tasks,
             "results": results,
@@ -1055,7 +1036,7 @@ class SimWorker:
         of tasks restored into the live set."""
         self.incarnation += 1
         total = sum(v.estimate_size() for v in self.vertex_table.values())
-        self._alloc(total, "vertex table reload")
+        self.node.allocate(total, "vertex table reload")
         if self._checkpoint is None:
             # died before the first snapshot: restart this worker's
             # share of the job from scratch by re-seeding
@@ -1064,17 +1045,15 @@ class SimWorker:
             if recovery_latency_cb is not None:
                 recovery_latency_cb()
             return 0
-        snapshot = self._checkpoint or {"tasks": [], "results": {}, "agg_partial": None}
+        snapshot = self._checkpoint
         restored = 0
         self.results = dict(snapshot["results"])
         self._seen_migrations = set(snapshot.get("seen_migrations", ()))
         if self.agg is not None and snapshot["agg_partial"] is not None:
             self.agg.local_partial = copy.deepcopy(snapshot["agg_partial"])
         for task in snapshot["tasks"]:
-            task = copy.deepcopy(task)
-            task.owner_worker = self.worker_id
-            self.live_tasks[task.task_id] = task
-            self._account_task(task)
+            task = task.clone()
+            self._adopt(task, created=False)
             task.status = TaskStatus.INACTIVE
             self.task_buffer.append(task)
             restored += 1
@@ -1129,10 +1108,7 @@ class SimWorker:
         for task in self.sent_tasks.pop(dead, []):
             if task.task_id in self.live_tasks:
                 continue
-            task.owner_worker = self.worker_id
-            self.controller.task_created()
-            self.live_tasks[task.task_id] = task
-            self._account_task(task)
+            self._adopt(task)
             task.status = TaskStatus.INACTIVE
             self.task_buffer.append(task)
         self._flush_buffer(force=True)

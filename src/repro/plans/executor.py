@@ -213,6 +213,11 @@ class PlanTask(Task):
             children.append(child)
         return children
 
+    def _clone_extra(self, out: Task) -> None:
+        # the plan is frozen, partial images tuples, vertex records frozen
+        out.partials = list(self.partials)
+        out.known = dict(self.known)
+
     def context_size(self) -> int:
         known_bytes = sum(
             16 + 8 * len(d.neighbors) for d in self.known.values()

@@ -134,17 +134,8 @@ class Cluster:
         total = sum(n.cores.utilization(start, end) for n in self.nodes)
         return total / len(self.nodes)
 
-    def disk_utilization(self, start: float, end: float) -> float:
-        if not self.nodes:
-            return 0.0
-        total = sum(n.disk.utilization(start, end) for n in self.nodes)
-        return total / len(self.nodes)
-
     def peak_memory_bytes(self) -> int:
         return sum(n.memory.peak for n in self.nodes)
-
-    def network_gigabytes(self) -> float:
-        return self.network.bytes_counter.gigabytes
 
 
 def build_cluster(

@@ -70,10 +70,6 @@ class CorePool:
         return self._busy
 
     @property
-    def idle_cores(self) -> int:
-        return self.cores - self._busy
-
-    @property
     def queued(self) -> int:
         return len(self._queue)
 

@@ -4,7 +4,9 @@ A :class:`Simulator` owns a virtual clock and a heap of pending events.
 Components schedule callbacks at future virtual times; the simulator
 pops them in ``(time, sequence)`` order, which makes every run fully
 deterministic — two events at the same instant fire in the order they
-were scheduled.
+were scheduled.  The heap holds ``(time, seq, event)`` tuples: ``seq``
+is unique, so ordering is a C tuple compare that never reaches the
+event (or its callback).
 
 The engine is intentionally minimal: no processes, no coroutines, just
 timestamped callbacks.  Higher-level resources (cores, NICs, disks) are
@@ -15,22 +17,22 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 
-@dataclass(order=True)
+@dataclass(slots=True, eq=False)
 class Event:
     """A single scheduled callback.
 
-    Events order by ``(time, seq)``; ``seq`` is a monotonically
+    Events run in ``(time, seq)`` order; ``seq`` is a monotonically
     increasing tie-breaker so simultaneous events run FIFO.
     """
 
     time: float
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it when popped."""
@@ -49,7 +51,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._stopped = False
         self.events_processed = 0
@@ -80,8 +82,9 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        event = Event(time=time, seq=next(self._seq), callback=callback)
-        heapq.heappush(self._heap, event)
+        seq = next(self._seq)
+        event = Event(time, seq, callback)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def stop(self) -> None:
@@ -100,17 +103,18 @@ class Simulator:
         """
         self._stopped = False
         processed = 0
-        while self._heap and not self._stopped:
-            event = self._heap[0]
-            if until is not None and event.time > until:
+        heap = self._heap
+        while heap and not self._stopped:
+            time, _, event = heap[0]
+            if until is not None and time > until:
                 self._now = until
                 return self._now
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
             if event.cancelled:
                 continue
             if self.verify is not None:
-                self.verify.on_sim_event(self._now, event.time)
-            self._now = event.time
+                self.verify.on_sim_event(self._now, time)
+            self._now = time
             event.callback()
             processed += 1
             self.events_processed += 1
@@ -122,10 +126,10 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the heap is empty."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def pending(self) -> int:
         """Number of live events still queued."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, e in self._heap if not e.cancelled)

@@ -39,12 +39,3 @@ class SimulatedTimeLimitExceeded(SimulationError):
     def __init__(self, limit_seconds):
         self.limit_seconds = limit_seconds
         super().__init__(f"job exceeded simulated time limit of {limit_seconds}s")
-
-
-class SimulatedNodeFailure(SimulationError):
-    """A node was killed by failure injection while holding live state."""
-
-    def __init__(self, node_id, at_time):
-        self.node_id = node_id
-        self.at_time = at_time
-        super().__init__(f"node {node_id} failed at t={at_time:.3f}s")

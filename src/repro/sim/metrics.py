@@ -164,10 +164,6 @@ class MemoryGauge:
             raise ValueError("free cannot be negative")
         self.current = max(0, self.current - nbytes)
 
-    @property
-    def peak_gigabytes(self) -> float:
-        return self.peak / 1e9
-
 
 def merge_peaks(gauges: Iterable[MemoryGauge]) -> int:
     """Aggregate peak memory across nodes (paper reports cluster peak sums)."""

@@ -258,13 +258,6 @@ class Network:
     def node_meter(self, node_id: int) -> ResourceMeter:
         return self._nics[node_id].meter
 
-    def aggregate_utilization(self, start: float, end: float) -> float:
-        """Mean NIC utilisation across the cluster over a window."""
-        if not self._nics:
-            return 0.0
-        total = sum(nic.meter.utilization(start, end) for nic in self._nics.values())
-        return total / len(self._nics)
-
     def send(
         self,
         src: int,

@@ -315,32 +315,17 @@ class InvariantMonitor:
         """Barrier check: one worker's cache/store/pipeline accounting."""
         site = f"worker[{worker.worker_id}]"
         for index, cache in enumerate(worker.caches):
-            resident = sum(e.size for e in cache._entries.values())
-            self.require(
-                cache.used_bytes == resident,
-                "cache-accounting",
-                f"cache {index} used_bytes diverged from resident entries",
-                site=site,
-                observed=cache.used_bytes,
-                expected=resident,
-            )
-            self.require(
-                cache.used_bytes <= cache.capacity_bytes,
-                "cache-capacity",
-                f"cache {index} exceeded its byte capacity",
-                site=site,
-                observed=cache.used_bytes,
-                expected=f"<= {cache.capacity_bytes}",
-            )
-            for vid, entry in cache._entries.items():
-                if entry.refs < 0:
-                    self.fail(
-                        "cache-refs",
-                        f"cache {index} entry {vid} has a negative refcount",
-                        site=site,
-                        observed=entry.refs,
-                        expected=">= 0",
-                    )
+            # the cache checks its own laws (byte accounting, capacity,
+            # refcounts >= 0, zero-reference index sound)
+            self.checks += 1
+            for law, defect in cache.audit():
+                self.fail(
+                    law,
+                    f"cache {index}: {defect}",
+                    site=site,
+                    observed=defect,
+                    expected="a sound cache",
+                )
         for vid, (data, refs) in worker.overflow.items():
             self.require(
                 refs >= 1,

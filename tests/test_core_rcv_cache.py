@@ -1,6 +1,11 @@
 """Unit tests for the Reference-Counting Vertex Cache (paper §7)."""
 
+from collections import OrderedDict
+from typing import Optional, Tuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.rcv_cache import CachePolicy, RCVCache
 from repro.graph.graph import VertexData
@@ -220,3 +225,228 @@ class TestEvictionRacingMigration:
         assert result.value == triangle_count_exact(graph)
         assert sum(c.evictions for w in job.workers for c in w.caches) > 0
         assert sum(w.stats.tasks_migrated_in for w in job.workers) > 0
+
+
+# ----------------------------------------------------------------------
+# the zero-reference index against the frozen linear scan
+# ----------------------------------------------------------------------
+
+
+class RecordingCache(RCVCache):
+    """Records the eviction sequence (both sides of the comparison)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.evicted = []
+
+    def _evict(self, vid):
+        self.evicted.append(vid)
+        super()._evict(vid)
+
+
+class ScanReferenceCache(RecordingCache):
+    """The pre-index ``_pick_victim``, frozen: a linear scan of every
+    entry for the zero-referenced one with the smallest insertion seq.
+    This is the specification the index has to reproduce."""
+
+    def _pick_victim(self) -> Optional[int]:
+        if not self._entries:
+            return None
+        if self.policy is CachePolicy.RCV:
+            best: Optional[Tuple[int, int]] = None
+            for vid, entry in self._entries.items():
+                if entry.refs == 0 and (best is None or entry.seq < best[0]):
+                    best = (entry.seq, vid)
+            return best[1] if best else None
+        return next(iter(self._entries))
+
+
+def _apply(cache, op, vid, arg):
+    """One operation; the return value (or the error) is compared."""
+    if op == "insert":
+        return cache.insert(vd(vid, degree=vid % 3), refs=arg)
+    if op == "addref":
+        try:
+            return cache.addref(vid)
+        except KeyError:
+            return "KeyError"
+    if op == "release":
+        return cache.release(vid)
+    if op == "lookup":
+        data = cache.lookup(vid)
+        return None if data is None else data.vid
+    return cache.drop_all()
+
+
+def _observable(cache):
+    return (
+        cache.evicted,
+        cache.used_bytes,
+        cache.hits,
+        cache.misses,
+        cache.rejected_inserts,
+        cache.evictions,
+        [(vid, cache.refs(vid)) for vid in range(10) if vid in cache],
+    )
+
+
+# Tuned against a planted mutant that orders victims by *release* time:
+# more releases than inserts and initial counts of 0 or 1 (so counts do
+# reach zero), more vertex ids than slots (so inserts evict), drop_all
+# rare (it resets the state the interesting sequences need).
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["insert"] * 6 + ["release"] * 9 + ["addref", "lookup", "drop_all"]
+        ),
+        st.integers(0, 9),
+        st.integers(0, 1),
+    ),
+    max_size=120,
+)
+
+
+class TestZeroRefIndexMatchesScan:
+    @settings(max_examples=150, deadline=None)
+    @given(_OPS, st.sampled_from(list(CachePolicy)), st.integers(2, 4))
+    def test_same_victims_and_counters_as_the_frozen_scan(self, ops, policy, slots):
+        capacity = slots * vd(0, degree=2).estimate_size()
+        indexed = RecordingCache(capacity, policy=policy)
+        scanned = ScanReferenceCache(capacity, policy=policy)
+        for step, (op, vid, arg) in enumerate(ops):
+            got, want = _apply(indexed, op, vid, arg), _apply(scanned, op, vid, arg)
+            assert got == want, (step, op, vid, arg)
+            assert _observable(indexed) == _observable(scanned), (step, op, vid, arg)
+            assert indexed.audit() == [], (step, op, vid, arg)
+
+    def test_victim_is_oldest_inserted_not_first_released(self):
+        """Why an append-on-release list is wrong: 2 reaches zero first,
+        but 1 was inserted first and is the victim."""
+        cache = RecordingCache(3 * SIZE)
+        for vid in (1, 2, 3):
+            cache.insert(vd(vid), refs=1)
+        cache.release(2)
+        cache.release(1)
+        cache.insert(vd(4), refs=1)
+        cache.insert(vd(5), refs=1)
+        assert cache.evicted == [1, 2]
+
+    def test_rereferenced_entry_is_skipped_then_evictable_again(self):
+        cache = RecordingCache(2 * SIZE)
+        cache.insert(vd(1), refs=0)
+        cache.insert(vd(2), refs=0)
+        cache.addref(1)  # its index record goes stale
+        cache.insert(vd(3), refs=0)
+        assert cache.evicted == [2]
+        cache.release(1)  # queued again after the stale record was dropped
+        assert cache.audit() == []
+        cache.insert(vd(4), refs=1)
+        assert cache.evicted == [2, 1]
+
+
+class CountingTable(OrderedDict):
+    """Counts every walk of the table (``iter``/``items``/``values``/``keys``)."""
+
+    walks = 0
+
+    def _walked(self):
+        type(self).walks += 1
+
+    def __iter__(self):
+        self._walked()
+        return super().__iter__()
+
+    def items(self):
+        self._walked()
+        return super().items()
+
+    def values(self):
+        self._walked()
+        return super().values()
+
+    def keys(self):
+        self._walked()
+        return super().keys()
+
+
+class TestEvictionNeverWalksTheTable:
+    def _full_cache(self, cls):
+        cache = cls(capacity_bytes=4000 * SIZE)
+        cache._entries = CountingTable()
+        for vid in range(4000):
+            # every tenth entry is evictable, the rest are pinned
+            cache.insert(vd(vid), refs=0 if vid % 10 == 0 else 1)
+        CountingTable.walks = 0
+        return cache
+
+    def test_insert_under_eviction_iterates_none_of_the_table(self):
+        cache = self._full_cache(RCVCache)
+        for vid in range(10_000, 10_200):
+            assert cache.insert(vd(vid), refs=1)
+        assert cache.evictions == 200
+        assert CountingTable.walks == 0
+
+    def test_the_guard_sees_the_frozen_scan(self):
+        cache = self._full_cache(ScanReferenceCache)
+        assert cache.insert(vd(10_000), refs=1)
+        assert CountingTable.walks == 1
+
+
+class TestDropAllAndAudit:
+    def test_drop_all_clears_the_index_and_counts_no_evictions(self):
+        frees = []
+        cache = RCVCache(capacity_bytes=3 * SIZE, on_free=frees.append)
+        cache.insert(vd(1), refs=0)
+        cache.insert(vd(2), refs=1)
+        cache.lookup(1)
+        cache.drop_all()
+        assert len(cache) == 0 and cache.used_bytes == 0
+        assert frees == [SIZE, SIZE]
+        assert cache.evictions == 0  # a crash is not cache pressure
+        assert cache.hits == 0 and cache.misses == 0
+        assert cache.audit() == []
+        # the old records are gone: refilling evicts only new entries
+        for vid in (1, 3, 4, 5):
+            assert cache.insert(vd(vid), refs=0)
+        assert 1 not in cache and cache.evictions == 1
+        assert cache.audit() == []
+
+    def test_audit_reports_an_unreferenced_entry_missing_from_the_index(self):
+        cache = RCVCache(capacity_bytes=3 * SIZE)
+        cache.insert(vd(1), refs=1)
+        cache.release(1)
+        cache._zero_refs.clear()  # lose the record, keep the flag
+        assert {law for law, _ in cache.audit()} == {"cache-zero-index"}
+        cache._entries[1].queued = False  # lose the flag as well
+        assert [law for law, _ in cache.audit()] == ["cache-zero-index"]
+
+    def test_audit_reports_a_record_that_outlived_its_entry(self):
+        cache = RCVCache(capacity_bytes=3 * SIZE)
+        cache.insert(vd(1), refs=0)
+        cache._evict(1)  # bypasses _pick_victim: the record stays behind
+        assert [law for law, _ in cache.audit()] == ["cache-zero-index"]
+
+    def test_audit_reports_a_duplicated_record(self):
+        cache = RCVCache(capacity_bytes=3 * SIZE)
+        cache.insert(vd(1), refs=0)
+        cache._zero_refs.append(cache._zero_refs[0])
+        assert cache.audit() == [
+            ("cache-zero-index", "records and queued entries differ: duplicates")
+        ]
+
+    def test_audit_reports_accounting_capacity_and_refcount(self):
+        cache = RCVCache(capacity_bytes=3 * SIZE)
+        cache.insert(vd(1), refs=1)
+        cache._used += 1
+        cache._entries[1].refs = -1
+        assert [law for law, _ in cache.audit()] == ["cache-accounting", "cache-refs"]
+        cache._used = 4 * SIZE
+        assert "cache-capacity" in {law for law, _ in cache.audit()}
+
+    def test_ablation_policies_keep_no_index(self):
+        for policy in (CachePolicy.LRU, CachePolicy.FIFO):
+            cache = RCVCache(capacity_bytes=2 * SIZE, policy=policy)
+            for vid in range(6):
+                cache.insert(vd(vid), refs=0)
+                cache.release(vid)
+            assert cache._zero_refs == [] and cache.audit() == []

@@ -145,10 +145,8 @@ def test_cache_never_exceeds_capacity(ops, policy):
         elif op == "release":
             cache.release(vid)
         assert cache.used_bytes <= capacity
-        # accounting invariant: used == sum of entry sizes
-        assert cache.used_bytes == sum(
-            e.size for e in cache._entries.values()
-        )
+        # used == sum of entry sizes, refcounts >= 0, zero-ref index sound
+        assert cache.audit() == []
 
 
 @given(st.lists(st.integers(0, 20), min_size=1, max_size=60))

@@ -130,3 +130,127 @@ def test_events_processed_counter(sim):
         sim.schedule(float(i + 1), lambda: None)
     sim.run()
     assert sim.events_processed == 5
+
+
+# ----------------------------------------------------------------------
+# heap ordering: (time, seq, event) tuples, the event is never compared
+# ----------------------------------------------------------------------
+
+
+def test_same_instant_fifo_across_schedule_and_schedule_at(sim):
+    fired = []
+    sim.schedule_at(1.0, lambda: fired.append("at-1"))
+    sim.schedule(1.0, lambda: fired.append("delay-2"))
+    sim.schedule(0.5, lambda: fired.append("early"))
+    sim.schedule_at(1.0, lambda: fired.append("at-3"))
+    sim.run()
+    assert fired == ["early", "at-1", "delay-2", "at-3"]
+
+
+def test_event_scheduled_for_now_runs_after_those_already_queued(sim):
+    fired = []
+
+    def first():
+        fired.append("first")
+        sim.schedule(0.0, lambda: fired.append("nested"))
+
+    sim.schedule(1.0, first)
+    sim.schedule(1.0, lambda: fired.append("second"))
+    sim.run()
+    assert fired == ["first", "second", "nested"]
+
+
+def test_many_same_instant_events_keep_schedule_order(sim):
+    fired = []
+    for i in range(500):
+        sim.schedule(1.0 if i % 3 else 2.0, lambda i=i: fired.append(i))
+    sim.run()
+    early = [i for i in range(500) if i % 3]
+    late = [i for i in range(500) if not i % 3]
+    assert fired == early + late
+
+
+class _Unorderable:
+    """A callback that refuses every comparison."""
+
+    def __init__(self, log, name):
+        self.log, self.name = log, name
+
+    def __call__(self):
+        self.log.append(self.name)
+
+    def _refuse(self, other):
+        raise AssertionError("a callback was compared")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = _refuse
+    __hash__ = object.__hash__
+
+
+def test_unorderable_callbacks_are_never_compared(sim):
+    fired = []
+    for name in "abcdef":
+        sim.schedule(1.0, _Unorderable(fired, name))
+    sim.run()
+    assert fired == list("abcdef")
+
+
+def test_events_themselves_are_never_compared(sim, monkeypatch):
+    from repro.sim.engine import Event
+
+    def refuse(self, other):
+        raise AssertionError("an Event was compared")
+
+    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Event, op, refuse, raising=False)
+    fired = []
+    for i in range(50):
+        sim.schedule(float(i % 5), lambda i=i: fired.append(i))
+    sim.run()
+    assert fired == sorted(range(50), key=lambda i: (i % 5, i))
+
+
+def test_cancelled_events_are_skipped_and_not_counted(sim):
+    fired = []
+    events = [sim.schedule(float(i + 1), lambda i=i: fired.append(i)) for i in range(6)]
+    events[0].cancel()
+    events[2].cancel()
+    assert sim.pending() == 4
+    assert sim.peek() == 2.0  # drops the cancelled head
+    sim.run(max_events=2)  # cancelled events do not use up the budget
+    assert fired == [1, 3]
+    assert sim.events_processed == 2
+    assert sim.now == 4.0
+    events[5].cancel()
+    assert sim.pending() == 1 and sim.peek() == 5.0
+    sim.run()
+    assert fired == [1, 3, 4]
+    assert sim.peek() is None and sim.pending() == 0
+
+
+def test_cancel_from_inside_a_callback_at_the_same_instant(sim):
+    fired = []
+    victim = []
+    sim.schedule(1.0, lambda: victim[0].cancel())
+    victim.append(sim.schedule(1.0, lambda: fired.append("victim")))
+    sim.schedule(1.0, lambda: fired.append("bystander"))
+    sim.run()
+    assert fired == ["bystander"]
+
+
+def test_until_is_inclusive_and_sets_the_clock_only_when_events_remain(sim):
+    fired = []
+    sim.schedule(2.0, lambda: fired.append("at-until"))
+    sim.schedule(3.0, lambda: fired.append("after"))
+    assert sim.run(until=2.0) == 2.0
+    assert fired == ["at-until"]  # an event exactly at ``until`` fires
+    assert sim.run(until=2.5) == 2.5  # events remain: clock moves to until
+    assert sim.now == 2.5 and fired == ["at-until"]
+    assert sim.run(until=10.0) == 3.0  # heap drained: last event's time
+    assert fired == ["at-until", "after"]
+
+
+def test_until_clock_with_only_a_cancelled_event_beyond_it(sim):
+    sim.schedule(5.0, lambda: None).cancel()
+    assert sim.run(until=2.0) == 2.0
+    assert sim.run() == 2.0  # the cancelled event never moves the clock
+    assert sim.events_processed == 0

@@ -273,3 +273,39 @@ class TestPlantedMutant:
             TriangleCountingApp(), small_social_graph, config
         ).run()
         assert result.status is JobStatus.OK
+
+    @pytest.fixture
+    def forgetful_cache(self, monkeypatch):
+        """An RCV cache whose ``release`` forgets to index the entry
+        when its count reaches zero: it is never evicted again."""
+        from repro.core.rcv_cache import RCVCache
+
+        def release(self, vid):
+            entry = self._entries.get(vid)
+            if entry is not None and entry.refs > 0:
+                entry.refs -= 1
+
+        monkeypatch.setattr(RCVCache, "release", release)
+
+    def test_lost_zero_ref_record_caught(self, forgetful_cache, small_social_graph):
+        config = make_cluster_config(verify=True, cache_capacity_bytes=2048)
+        job = GMinerJob(TriangleCountingApp(), small_social_graph, config)
+        with pytest.raises(InvariantViolation) as exc:
+            job.run()
+        assert exc.value.invariant == "cache-zero-index"
+        assert "unreferenced but not queued" in str(exc.value.observed)
+
+    def test_lost_zero_ref_record_silent_without_monitor(
+        self, forgetful_cache, small_social_graph, monkeypatch
+    ):
+        """Nothing crashes and the answer is right: the cache just stops
+        evicting and every further pull takes the overflow path."""
+        from repro.graph.algorithms import triangle_count_exact
+
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
+        config = make_cluster_config(cache_capacity_bytes=2048)
+        job = GMinerJob(TriangleCountingApp(), small_social_graph, config)
+        result = job.run()
+        assert result.status is JobStatus.OK
+        assert result.value == triangle_count_exact(small_social_graph)
+        assert sum(c.rejected_inserts for w in job.workers for c in w.caches) > 0
