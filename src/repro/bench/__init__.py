@@ -7,8 +7,8 @@ experiment defaults; batches of cells fan out over host cores via
 :mod:`repro.bench.report` renders rows the way the paper's tables do
 ("x" for OOM, "-" for over the time limit);
 :mod:`repro.bench.experiments` defines one function per table/figure,
-each returning an :class:`ExperimentReport` that the ``benchmarks/``
-suite executes and EXPERIMENTS.md records.
+each returning an :class:`ExperimentReport` with its shape checks
+evaluated; ``results/`` archives them and EXPERIMENTS.md quotes them.
 """
 
 from repro.bench.runner import (
@@ -21,7 +21,7 @@ from repro.bench.runner import (
     run,
     run_many,
 )
-from repro.bench.report import ExperimentReport, format_cell, render_table
+from repro.bench.report import Check, ExperimentReport, format_cell, render_table
 from repro.bench import experiments
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "prepare_dataset",
     "run",
     "run_many",
+    "Check",
     "ExperimentReport",
     "format_cell",
     "render_table",

@@ -1,15 +1,17 @@
 """Command-line entry point for the experiment harness.
 
-Run one experiment (or all of them) without pytest::
+Run one experiment (or all of them)::
 
     python -m repro.bench list                 # show experiment ids
     python -m repro.bench run table1           # one table/figure
-    python -m repro.bench run all -o results/  # everything, archived
+    python -m repro.bench run all -o regen     # everything, archived
     python -m repro.bench run table3_tc_mcf --workers 8   # fan out cells
     python -m repro.bench run all --no-cache   # rebuild every input
 
 Each experiment prints in the paper's format and, with ``-o``, is also
 written to ``<dir>/<id>.txt`` plus a machine-readable ``<dir>/<id>.json``.
+A shape check that fails is printed as failed and ``run`` exits 1; the
+archive under ``results/`` is the regression gate (``diff -r results regen``).
 ``--trace-out``/``--metrics-out`` capture observability artifacts
 (Chrome ``trace_event`` JSON and a metrics snapshot) from the runs;
 since the ambient collector is process-local, these force ``--workers
@@ -103,9 +105,10 @@ def cmd_run(names, out_dir, workers, cache, trace_out=None, metrics_out=None) ->
         from contextlib import nullcontext
 
         capture = nullcontext()
+    failed = []
     with capture:
         for name in names:
-            started = time.time()
+            started = time.perf_counter()
             # one context per experiment: the footer covers exactly this
             # experiment's cells, while the BuildCache object (and its disk
             # level) is shared across the whole invocation
@@ -116,19 +119,22 @@ def cmd_run(names, out_dir, workers, cache, trace_out=None, metrics_out=None) ->
             stats = runner.cache_stats()
             hits, misses = stats["hits"], stats["misses"]
             print(
-                f"[{name} completed in {time.time() - started:.1f}s wall clock, "
+                f"[{name} completed in {time.perf_counter() - started:.1f}s wall clock, "
                 f"workers={runner.workers}, build cache: {hits} hits / {misses} misses]"
             )
             print()
             if out_dir:
                 save_report(report, out_dir)
+            failed += [(name, check) for check in report.failed_checks]
     if collector is not None:
         if trace_out:
             print(f"[trace: {collector.write_chrome_trace(trace_out)} "
                   f"({len(collector)} runs)]")
         if metrics_out:
             print(f"[metrics: {collector.write_metrics_json(metrics_out)}]")
-    return 0
+    for name, check in failed:
+        print(f"FAILED shape check in {name}: {check}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:

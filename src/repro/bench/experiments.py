@@ -1,10 +1,12 @@
 """One function per table/figure of the paper's evaluation (§8).
 
 Each function runs the scaled experiment, renders it in the paper's
-format, records *shape checks* (the qualitative claims that should
+format, evaluates its *shape checks* (the qualitative claims that should
 survive scaling: who wins, who fails, what direction each knob moves)
-and documents deviations.  ``benchmarks/`` executes these under
-pytest-benchmark; EXPERIMENTS.md archives their output.
+as :class:`~repro.bench.report.Check` records and documents deviations
+as notes.  This module is the only statement of each claim: a failed
+check is rendered as failed and fails ``python -m repro.bench run``;
+``results/`` archives every report and EXPERIMENTS.md quotes it.
 
 Every experiment first *declares* its grid of independent cells as
 :class:`~repro.parallel.RunRequest` records, then executes the batch
@@ -16,9 +18,16 @@ fanned out over ``--workers N`` processes.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.report import ExperimentReport, format_cell, render_series, render_table
+from repro.bench.report import (
+    Check,
+    ExperimentReport,
+    format_cell,
+    render_series,
+    render_table,
+)
 from repro.bench.runner import EXPERIMENT_SPEC
 from repro.core.job import JobResult, JobStatus
 from repro.graph.datasets import dataset_table
@@ -80,22 +89,26 @@ def table1_motivation() -> ExperimentReport:
         systems,
         label_header="System",
     )
-    checks, notes = [], []
     single = results["single-thread"]
     gthinker = results["gthinker"]
     gminer = results["gminer"]
-    if single.ok and single.cpu_utilization == 1.0:
-        checks.append("single-thread runs at 100% CPU")
-    if results["giraph"].status is JobStatus.OOM:
-        checks.append("giraph-like OOMs (paper: x)")
-    if results["graphx"].status is not JobStatus.OK:
-        checks.append("graphx-like fails to finish (paper: >24h)")
-    if results["arabesque"].status is not JobStatus.OK:
-        checks.append("arabesque-like fails to finish (paper: >24h)")
-    if gthinker.ok and gthinker.total_seconds < single.total_seconds:
-        checks.append("gthinker-like beats single thread (paper: 164.6s vs 86640s)")
-    if gminer.ok and gminer.total_seconds <= gthinker.total_seconds * 1.5:
-        checks.append("gminer competitive with or beating gthinker")
+    checks = [
+        Check("single-thread runs at 100% CPU", single.ok and single.cpu_utilization == 1.0),
+        Check("giraph-like OOMs (paper: x)", results["giraph"].status is JobStatus.OOM),
+        Check("graphx-like fails to finish (paper: >24h)", not results["graphx"].ok),
+        Check("arabesque-like fails to finish (paper: >24h)", not results["arabesque"].ok),
+        Check(
+            "both subgraph-centric systems finish and G-Miner is the faster",
+            gthinker.ok and gminer.ok and gminer.total_seconds < gthinker.total_seconds,
+            f"{gminer.total_seconds:.3f}s vs {gthinker.total_seconds:.3f}s",
+        ),
+    ]
+    notes = [
+        "paper: gthinker-like beats the single thread (164.6s vs 86640s); measured: "
+        f"{gthinker.total_seconds:.3f}s vs {single.total_seconds:.3f}s, a job too short on the "
+        "2000-vertex stand-in to amortise the batch system's pull rounds "
+        f"({100 * gthinker.cpu_utilization:.1f}% CPU)"
+    ]
     return ExperimentReport(
         "table1", "Motivation: MCF on Orkut", rendered,
         data={s: r for s, r in results.items()}, checks=checks, notes=notes,
@@ -109,10 +122,17 @@ def table1_motivation() -> ExperimentReport:
 def table2_datasets() -> ExperimentReport:
     """Dataset statistics of the scaled stand-ins (paper Table 2)."""
     rendered = dataset_table()
+    stand_ins = NON_ATTRIBUTED + ("tencent-s", "dblp-s")
     return ExperimentReport(
         "table2",
         "Graph datasets (scaled stand-ins; see DESIGN.md for the mapping)",
         rendered,
+        checks=[
+            Check(
+                "all six scaled stand-ins are listed",
+                all(name in rendered for name in stand_ins),
+            )
+        ],
     )
 
 
@@ -145,22 +165,11 @@ def table3_tc_mcf() -> ExperimentReport:
         row_labels,
         label_header="Workload",
     )
-    checks, notes = [], []
-    gminer_ok = all(data[l]["gminer"].ok for l in row_labels)
-    gthinker_ok = all(data[l]["gthinker"].ok for l in row_labels)
-    if gminer_ok:
-        checks.append("G-Miner succeeds on every workload/dataset")
-    if gthinker_ok:
-        checks.append("gthinker-like succeeds everywhere (the only other survivor)")
     heavy_failures = sum(
         1
         for l in row_labels
         for s in ("arabesque", "giraph", "graphx")
         if data[l][s] is not None and not data[l][s].ok
-    )
-    checks.append(
-        f"{heavy_failures} failures among arabesque/giraph/graphx cells "
-        "(paper: 17 of 24)"
     )
     wins = sum(
         1
@@ -172,12 +181,29 @@ def table3_tc_mcf() -> ExperimentReport:
             if s != "gminer" and r is not None
         )
     )
-    checks.append(f"G-Miner fastest or within 1.6x of best on {wins}/8 rows")
-    notes.append(
+    checks = [
+        Check(
+            "G-Miner succeeds on every workload/dataset",
+            all(data[l]["gminer"].ok for l in row_labels),
+        ),
+        Check(
+            "gthinker-like succeeds everywhere (the only other survivor)",
+            all(data[l]["gthinker"].ok for l in row_labels),
+        ),
+        Check(
+            "at least 6 of the 24 arabesque/giraph/graphx cells fail (paper: 17 of 24)",
+            heavy_failures >= 6, f"{heavy_failures} failures",
+        ),
+        Check(
+            "G-Miner fastest or within 1.6x of best on every row",
+            wins == len(row_labels), f"{wins}/{len(row_labels)} rows",
+        ),
+    ]
+    notes = [
         "failure *flavours* can differ from the paper at reduced scale "
         "(a run that OOM'd on the real 48GB nodes may time out here instead); "
         "the success/failure pattern is what is preserved"
-    )
+    ]
     return ExperimentReport(
         "table3", "TC & MCF across systems", rendered, data=data,
         checks=checks, notes=notes,
@@ -197,12 +223,10 @@ def table4_gm() -> ExperimentReport:
     ]
     results = _run_cells(requests)
     rows = []
-    labels = []
     data: Dict[str, Dict[str, JobResult]] = {}
     for i, dataset in enumerate(NON_ATTRIBUTED):
         gm, gt = results[2 * i], results[2 * i + 1]
         data[dataset] = {"gminer": gm, "gthinker": gt}
-        labels.append(dataset)
         rows.append(
             [
                 str(gm.value),
@@ -222,31 +246,42 @@ def table4_gm() -> ExperimentReport:
             "GM net", "GT net",
         ],
         rows,
-        labels,
+        list(data),
         label_header="Dataset",
     )
-    checks = []
-    if all(
-        d["gminer"].value == d["gthinker"].value
-        for d in data.values()
-        if d["gminer"].ok and d["gthinker"].ok
-    ):
-        checks.append("both systems report identical match counts")
     faster = sum(
         1 for d in data.values()
         if d["gminer"].total_seconds < d["gthinker"].total_seconds
     )
-    checks.append(f"G-Miner faster on {faster}/4 datasets (paper: 4/4, 2-6x)")
     higher_cpu = sum(
         1 for d in data.values()
         if d["gminer"].cpu_utilization > d["gthinker"].cpu_utilization
     )
-    checks.append(f"G-Miner higher CPU utilisation on {higher_cpu}/4 (paper: 4/4)")
     less_net = sum(
         1 for d in data.values()
         if d["gminer"].network_bytes < d["gthinker"].network_bytes
     )
-    checks.append(f"G-Miner less network traffic on {less_net}/4 (paper: 4/4)")
+    checks = [
+        Check(
+            "both systems finish with identical match counts on every dataset",
+            all(
+                d["gminer"].ok and d["gthinker"].ok and d["gminer"].value == d["gthinker"].value
+                for d in data.values()
+            ),
+        ),
+        Check(
+            "G-Miner faster on at least 3/4 datasets (paper: 4/4, 2-6x)",
+            faster >= 3, f"{faster}/4",
+        ),
+        Check(
+            "G-Miner higher CPU utilisation on every dataset (paper: 4/4)",
+            higher_cpu == 4, f"{higher_cpu}/4",
+        ),
+        Check(
+            "G-Miner less network traffic on every dataset (paper: 4/4)",
+            less_net == 4, f"{less_net}/4",
+        ),
+    ]
     return ExperimentReport(
         "table4", "GM: G-Miner vs G-thinker", rendered, data=data, checks=checks
     )
@@ -270,12 +305,11 @@ def table5_cd_gc() -> ExperimentReport:
     results = _run_cells(
         [_cell(app, dataset, time_limit=150.0) for app, dataset in cases]
     )
-    rows, labels = [], []
+    rows = []
     data: Dict[str, JobResult] = {}
     for (app, dataset), result in zip(cases, results):
         key = f"{app.upper()} {dataset}"
         data[key] = result
-        labels.append(key)
         found = len(result.value) if result.value else 0
         rows.append(
             [format_cell(result), format_cell(result, "mem"), str(found)]
@@ -284,14 +318,22 @@ def table5_cd_gc() -> ExperimentReport:
         "Table 5: CD & GC on G-Miner (no baseline can express them)",
         ["Time(s)", "Mem", "Found"],
         rows,
-        labels,
+        list(data),
         label_header="Workload",
     )
-    checks = []
-    if all(r.ok for r in data.values()):
-        checks.append("G-Miner completes every CD/GC run (paper: all succeed)")
-    if data["CD tencent-s"].value and data["CD dblp-s"].value:
-        checks.append("communities found on the attributed datasets")
+    completed = sum(1 for r in data.values() if r.ok)
+    attributed = ("CD dblp-s", "CD tencent-s", "GC dblp-s")
+    checks = [
+        Check(
+            "G-Miner completes every CD/GC run (paper: all succeed)",
+            completed == len(data), f"{completed}/{len(data)}",
+        ),
+        Check(
+            "communities/clusters found on the attributed datasets",
+            all(data[k].ok and data[k].value for k in attributed),
+            ", ".join(f"{k}: {len(data[k].value or ())}" for k in attributed),
+        ),
+    ]
     return ExperimentReport(
         "table5", "Heavy attributed workloads", rendered, data=data, checks=checks
     )
@@ -319,21 +361,21 @@ def fig5_6_utilization(bins: int = 30) -> ExperimentReport:
         "Figure 6: G-Miner utilisation, GM on friendster-s (%)",
         "t(s)", [f"{t:.2f}" for t in t_gm], s_gm, fmt="{:.1f}",
     )
-    checks = []
     mean_gt = sum(s_gt["cpu"]) / len(s_gt["cpu"])
     mean_gm = sum(s_gm["cpu"]) / len(s_gm["cpu"])
-    if mean_gm > mean_gt:
-        checks.append(
-            f"G-Miner mean CPU {mean_gm:.1f}% > gthinker {mean_gt:.1f}% (paper: 85% vs 15%)"
-        )
     # batch systems stall: count bins with near-zero CPU
     stalls_gt = sum(1 for v in s_gt["cpu"] if v < max(s_gt["cpu"]) * 0.2)
     stalls_gm = sum(1 for v in s_gm["cpu"] if v < max(s_gm["cpu"]) * 0.2)
-    if stalls_gt > stalls_gm:
-        checks.append(
-            f"gthinker shows {stalls_gt} stalled bins vs G-Miner {stalls_gm} "
-            "(the paper's intermittent CPU troughs)"
-        )
+    checks = [
+        Check(
+            "G-Miner mean CPU above gthinker's (paper: 85% vs 15%)",
+            mean_gm > mean_gt, f"{mean_gm:.1f}% vs {mean_gt:.1f}%",
+        ),
+        Check(
+            "gthinker shows more stalled bins than G-Miner (the paper's intermittent CPU troughs)",
+            stalls_gt > stalls_gm, f"{stalls_gt} vs {stalls_gm}",
+        ),
+    ]
     return ExperimentReport(
         "fig5_6", "CPU/network/disk utilisation timelines",
         part1 + "\n\n" + part2,
@@ -378,21 +420,32 @@ def fig7_cost(core_counts: Sequence[int] = (1, 2, 4, 8, 12, 24)) -> ExperimentRe
         f"{k}={v:.3f}s" for k, v in single.items()
     )
     rendered += "\nCOST: " + ", ".join(f"{k}={v}" for k, v in cost.items())
-    checks = []
     low_cost = sum(1 for v in cost.values() if v is not None and v <= 4)
-    checks.append(f"COST <= 4 cores for {low_cost}/4 cases (paper: 2-3 for 4/4)")
-    speedups = {
-        k: single[k] / series[k][-1] for k in series
-    }
-    if all(s > 2.0 for s in speedups.values()):
-        checks.append("speedup at 24 cores exceeds 2x everywhere")
+    speedups = {k: single[k] / series[k][-1] for k in series}
+    fast = sum(1 for s in speedups.values() if s > 2.0)
+    checks = [
+        Check(
+            "COST <= 4 cores for at least 3/4 cases (paper: 2-3 for 4/4)",
+            low_cost >= 3, f"{low_cost}/4",
+        ),
+        Check(
+            "24 cores never slower than 1 core by more than 5%",
+            all(times[-1] <= times[0] * 1.05 for times in series.values()),
+        ),
+        Check(
+            "24 cores beat the single thread by more than 2x in at least 3/4 cases",
+            fast >= 3, ", ".join(f"{k} {s:.2f}x" for k, s in speedups.items()),
+        ),
+    ]
     return ExperimentReport(
         "fig7", "The COST of scalability", rendered,
         data={"series": series, "single": single, "cost": cost},
         checks=checks,
         notes=[
             "speedups saturate earlier than the paper's 12.8x because the "
-            "scaled graphs carry ~10^3x fewer tasks per core"
+            "scaled graphs carry ~10^3x fewer tasks per core; gm-skitter-s "
+            f"({single['gm-skitter-s']:.3f}s single-threaded) is too small "
+            "for any core count to amortise the setup, hence its missing COST"
         ],
     )
 
@@ -401,29 +454,38 @@ def fig7_cost(core_counts: Sequence[int] = (1, 2, 4, 8, 12, 24)) -> ExperimentRe
 # Figures 8 & 9 — vertical / horizontal scalability
 # ----------------------------------------------------------------------
 
-def fig8_vertical(core_counts: Sequence[int] = (1, 2, 4, 8, 12, 24)) -> ExperimentReport:
-    """Vertical scalability: cores/node sweep (paper Figure 8)."""
+def _friendster_sweep(specs: Sequence[ClusterSpec]) -> Dict[str, List[float]]:
+    """MCF and GM elapsed seconds on friendster-s, one cell per cluster shape."""
     apps = ("mcf", "gm")
     results = _run_cells(
         [
-            _cell(app, "friendster-s", spec=_spec(15, cores), time_limit=None)
+            _cell(app, "friendster-s", spec=spec, time_limit=None)
             for app in apps
-            for cores in core_counts
+            for spec in specs
         ]
     )
-    series: Dict[str, List[float]] = {}
-    for i, app in enumerate(apps):
-        block = results[i * len(core_counts):(i + 1) * len(core_counts)]
-        series[f"{app}-friendster-s"] = [r.total_seconds for r in block]
+    return {
+        f"{app}-friendster-s": [
+            r.total_seconds for r in results[i * len(specs):(i + 1) * len(specs)]
+        ]
+        for i, app in enumerate(apps)
+    }
+
+
+def fig8_vertical(core_counts: Sequence[int] = (1, 2, 4, 8, 12, 24)) -> ExperimentReport:
+    """Vertical scalability: cores/node sweep (paper Figure 8)."""
+    series = _friendster_sweep([_spec(15, cores) for cores in core_counts])
     rendered = render_series(
         "Figure 8: vertical scalability (15 nodes, cores/node swept)",
         "cores/node", list(core_counts), series,
     )
-    checks = []
-    for name, times in series.items():
-        if times[0] > times[-1]:
-            checks.append(f"{name}: more cores/node reduces time "
-                          f"({times[0]:.3f}s -> {times[-1]:.3f}s)")
+    checks = [
+        Check(
+            f"{name}: more cores/node reduces time",
+            times[-1] < times[0], f"{times[0]:.3f}s -> {times[-1]:.3f}s",
+        )
+        for name, times in series.items()
+    ]
     return ExperimentReport(
         "fig8", "Vertical scalability", rendered, data=series, checks=checks
     )
@@ -431,27 +493,18 @@ def fig8_vertical(core_counts: Sequence[int] = (1, 2, 4, 8, 12, 24)) -> Experime
 
 def fig9_horizontal(node_counts: Sequence[int] = (10, 15, 20)) -> ExperimentReport:
     """Horizontal scalability: node-count sweep (paper Figure 9)."""
-    apps = ("mcf", "gm")
-    results = _run_cells(
-        [
-            _cell(app, "friendster-s", spec=_spec(nodes, 4), time_limit=None)
-            for app in apps
-            for nodes in node_counts
-        ]
-    )
-    series: Dict[str, List[float]] = {}
-    for i, app in enumerate(apps):
-        block = results[i * len(node_counts):(i + 1) * len(node_counts)]
-        series[f"{app}-friendster-s"] = [r.total_seconds for r in block]
+    series = _friendster_sweep([_spec(nodes, 4) for nodes in node_counts])
     rendered = render_series(
         "Figure 9: horizontal scalability (4 cores/node, nodes swept)",
         "nodes", list(node_counts), series,
     )
-    checks = []
-    for name, times in series.items():
-        if times[0] >= times[-1]:
-            checks.append(f"{name}: 20 nodes no slower than 10 "
-                          f"({times[0]:.3f}s -> {times[-1]:.3f}s)")
+    checks = [
+        Check(
+            f"{name}: {node_counts[-1]} nodes no slower than {node_counts[0]}",
+            times[-1] <= times[0], f"{times[0]:.3f}s -> {times[-1]:.3f}s",
+        )
+        for name, times in series.items()
+    ]
     return ExperimentReport(
         "fig9", "Horizontal scalability", rendered, data=series, checks=checks
     )
@@ -493,7 +546,19 @@ def fig10_baseline_scalability(
                 "nodes", list(node_counts), series,
             )
         )
-    checks = ["baseline systems show flat or erratic scaling (paper: 'no guarantee')"]
+    curves = [
+        [t for t in times if not math.isnan(t)]
+        for series in data.values()
+        for times in series.values()
+    ]
+    slowed = sum(1 for times in curves if times and times[-1] > times[0])
+    checks = [
+        Check("every baseline finishes TC at some node count on each dataset", all(curves)),
+        Check(
+            "adding nodes slows at least one baseline curve down (paper: 'no guarantee')",
+            slowed > 0, f"{slowed}/{len(curves)} curves",
+        ),
+    ]
     return ExperimentReport(
         "fig10", "Scalability of other systems", "\n\n".join(blocks),
         data=data, checks=checks,
@@ -539,19 +604,28 @@ def fig11_bdg() -> ExperimentReport:
         labels,
         label_header="Run",
     )
-    checks, notes = [], []
+    checks = []
     for dataset, runs in data.items():
-        if runs["bdg"].partition_seconds > runs["hash"].partition_seconds:
-            checks.append(f"{dataset}: BDG pays more partitioning time (paper shape)")
-        if runs["bdg"].network_bytes < runs["hash"].network_bytes:
-            checks.append(f"{dataset}: BDG reduces network traffic (paper shape)")
-        if runs["bdg"].mining_seconds <= runs["hash"].mining_seconds * 1.1:
-            checks.append(f"{dataset}: BDG mining time competitive")
-    notes.append(
+        bdg, hashed = runs["bdg"], runs["hash"]
+        checks += [
+            Check(
+                f"{dataset}: BDG pays more partitioning time (paper shape)",
+                bdg.partition_seconds > hashed.partition_seconds,
+            ),
+            Check(
+                f"{dataset}: BDG reduces network traffic (paper shape)",
+                bdg.network_bytes < hashed.network_bytes,
+            ),
+            Check(
+                f"{dataset}: BDG mining time within 1.1x of hash",
+                bdg.mining_seconds <= hashed.mining_seconds * 1.1,
+            ),
+        ]
+    notes = [
         "the paper's 35% total-time win does not fully materialise at this "
         "scale: a 2000-vertex dense graph cut 15 ways has ~87% external "
         "edges whichever partitioner runs, so locality gains are bounded"
-    )
+    ]
     return ExperimentReport(
         "fig11", "BDG partitioning", rendered, data=data, checks=checks, notes=notes
     )
@@ -561,42 +635,58 @@ def fig11_bdg() -> ExperimentReport:
 # Figure 12 — LSH task priority queue on/off
 # ----------------------------------------------------------------------
 
-def fig12_lsh() -> ExperimentReport:
-    """LSH task priority queue En/Dis ablation (paper Figure 12)."""
-    cases = [("gm", "orkut-s"), ("gm", "friendster-s"), ("mcf", "orkut-s"), ("mcf", "friendster-s")]
+def _en_dis(cases, knob: str) -> Dict[str, Dict[str, JobResult]]:
+    """Run each (app, dataset) case with ``knob`` enabled and disabled."""
     results = _run_cells(
         [
-            _cell(app, dataset, enable_lsh=enabled)
+            _cell(app, dataset, **{knob: enabled})
             for app, dataset in cases
             for enabled in (True, False)
         ]
     )
-    rows, labels = [], []
-    data = {}
-    for i, (app, dataset) in enumerate(cases):
-        en, dis = results[2 * i], results[2 * i + 1]
-        key = f"{app}-{dataset}"
-        data[key] = {"en": en, "dis": dis}
-        labels.append(key)
-        rows.append(
-            [
-                f"{en.total_seconds:.3f}", f"{dis.total_seconds:.3f}",
-                f"{en.stats['cache_hit_rate']:.2f}", f"{dis.stats['cache_hit_rate']:.2f}",
-                f"{int(en.stats['vertices_pulled'])}", f"{int(dis.stats['vertices_pulled'])}",
-            ]
-        )
+    return {
+        f"{app}-{dataset}": {"en": results[2 * i], "dis": results[2 * i + 1]}
+        for i, (app, dataset) in enumerate(cases)
+    }
+
+
+def fig12_lsh() -> ExperimentReport:
+    """LSH task priority queue En/Dis ablation (paper Figure 12)."""
+    cases = [("gm", "orkut-s"), ("gm", "friendster-s"), ("mcf", "orkut-s"), ("mcf", "friendster-s")]
+    data = _en_dis(cases, "enable_lsh")
+    rows = [
+        [
+            f"{d['en'].total_seconds:.3f}", f"{d['dis'].total_seconds:.3f}",
+            f"{d['en'].stats['cache_hit_rate']:.2f}", f"{d['dis'].stats['cache_hit_rate']:.2f}",
+            f"{int(d['en'].stats['vertices_pulled'])}", f"{int(d['dis'].stats['vertices_pulled'])}",
+        ]
+        for d in data.values()
+    ]
     rendered = render_table(
         "Figure 12: LSH-based task priority queue (En vs Dis)",
         ["En t(s)", "Dis t(s)", "En hit", "Dis hit", "En pulls", "Dis pulls"],
         rows,
-        labels,
+        list(data),
         label_header="Case",
     )
     slower = sum(
         1 for d in data.values()
         if d["dis"].total_seconds > d["en"].total_seconds
     )
-    checks = [f"disabling LSH slows {slower}/4 cases (paper: up to 40% worse)"]
+    more_pulls = sum(
+        1 for d in data.values()
+        if d["dis"].stats["vertices_pulled"] >= d["en"].stats["vertices_pulled"]
+    )
+    checks = [
+        Check(
+            "disabling LSH slows at least 3/4 cases (paper: up to 40% worse)",
+            slower >= 3, f"{slower}/4",
+        ),
+        Check(
+            "disabling LSH pulls at least as many vertices in at least 3/4 cases",
+            more_pulls >= 3, f"{more_pulls}/4",
+        ),
+    ]
     return ExperimentReport(
         "fig12", "LSH task ordering", rendered, data=data, checks=checks
     )
@@ -619,32 +709,20 @@ def fig13_stealing() -> ExperimentReport:
         ("mcf", "orkut-s"), ("mcf", "friendster-s"),
         ("tc", "orkut-s"), ("tc", "friendster-s"),
     ]
-    results = _run_cells(
+    data = _en_dis(cases, "enable_stealing")
+    rows = [
         [
-            _cell(app, dataset, enable_stealing=enabled)
-            for app, dataset in cases
-            for enabled in (True, False)
+            f"{d['en'].total_seconds:.3f}", f"{d['dis'].total_seconds:.3f}",
+            f"{int(d['en'].stats['tasks_migrated'])}",
+            f"{100 * d['en'].cpu_utilization:.1f}%", f"{100 * d['dis'].cpu_utilization:.1f}%",
         ]
-    )
-    rows, labels = [], []
-    data = {}
-    for i, (app, dataset) in enumerate(cases):
-        en, dis = results[2 * i], results[2 * i + 1]
-        key = f"{app}-{dataset}"
-        data[key] = {"en": en, "dis": dis}
-        labels.append(key)
-        rows.append(
-            [
-                f"{en.total_seconds:.3f}", f"{dis.total_seconds:.3f}",
-                f"{int(en.stats['tasks_migrated'])}",
-                f"{100 * en.cpu_utilization:.1f}%", f"{100 * dis.cpu_utilization:.1f}%",
-            ]
-        )
+        for d in data.values()
+    ]
     rendered = render_table(
         "Figure 13: task stealing (En vs Dis)",
         ["En t(s)", "Dis t(s)", "Migrated", "En cpu", "Dis cpu"],
         rows,
-        labels,
+        list(data),
         label_header="Case",
     )
     helped = sum(
@@ -655,9 +733,17 @@ def fig13_stealing() -> ExperimentReport:
         data["tc-orkut-s"]["dis"].total_seconds
         / data["tc-orkut-s"]["en"].total_seconds
     )
+    migrated = sum(int(d["en"].stats["tasks_migrated"]) for d in data.values())
     checks = [
-        f"stealing helps or is neutral in {helped}/{len(cases)} cases",
-        f"TC orkut speedup from stealing: {tc_speedup:.2f}x (paper: ~1.5x)",
+        Check(
+            f"stealing helps or is neutral in at least 4/{len(cases)} cases",
+            helped >= 4, f"{helped}/{len(cases)}",
+        ),
+        Check("stealing migrates tasks", migrated > 0, f"{migrated} tasks"),
+        Check(
+            "TC orkut speedup from stealing above 1.2x (paper: ~1.5x)",
+            tc_speedup > 1.2, f"{tc_speedup:.2f}x",
+        ),
     ]
     return ExperimentReport(
         "fig13", "Task stealing", rendered, data=data, checks=checks
@@ -678,12 +764,11 @@ def ablation_cache() -> ExperimentReport:
     results = _run_cells(
         [_cell(app, dataset, cache_policy=policy) for app, dataset, policy in cases]
     )
-    rows, labels = [], []
+    rows = []
     data = {}
     for (app, dataset, policy), r in zip(cases, results):
         key = f"{app} {policy}"
         data[key] = r
-        labels.append(key)
         rows.append(
             [
                 f"{r.total_seconds:.3f}",
@@ -695,20 +780,21 @@ def ablation_cache() -> ExperimentReport:
         "Ablation A: RCV cache vs LRU/FIFO (paper §7)",
         ["Time(s)", "Hit rate", "Re-pulls"],
         rows,
-        labels,
+        list(data),
         label_header="Run",
     )
     checks = []
     for app in ("gm", "mcf"):
-        rcv = data[f"{app} rcv"]
-        if all(
-            rcv.stats["re_pulls"] <= data[f"{app} {p}"].stats["re_pulls"]
-            for p in ("lru", "fifo")
-        ):
-            checks.append(
-                f"{app}: RCV never re-pulls a vertex a ready task depends on; "
-                "LRU/FIFO do"
+        rcv, lru, fifo = (
+            int(data[f"{app} {policy}"].stats["re_pulls"]) for policy in ("rcv", "lru", "fifo")
+        )
+        checks.append(
+            Check(
+                f"{app}: RCV re-pulls no more than LRU or FIFO, and at most 5% of the worse",
+                rcv <= min(lru, fifo) and rcv <= max(10, 0.05 * max(lru, fifo)),
+                f"{rcv} vs {lru}/{fifo}",
             )
+        )
     return ExperimentReport(
         "ablationA", "Cache policy", rendered, data=data, checks=checks
     )
@@ -730,11 +816,10 @@ def ablation_splitting() -> ExperimentReport:
             for enabled in settings
         ]
     )
-    rows, labels, data = [], [], {}
+    rows, data = [], {}
     for enabled, r in zip(settings, results):
         key = "split-on" if enabled else "split-off"
         data[key] = r
-        labels.append(key)
         rows.append(
             [
                 f"{r.total_seconds:.3f}",
@@ -747,14 +832,18 @@ def ablation_splitting() -> ExperimentReport:
         "Ablation B: recursive task splitting (paper §9 future work), GM on orkut-s",
         ["Time(s)", "CPU", "Tasks", "Matches"],
         rows,
-        labels,
+        list(data),
         label_header="Run",
     )
-    checks = []
-    if data["split-on"].value == data["split-off"].value:
-        checks.append("splitting preserves the exact match count")
-    if data["split-on"].stats["tasks_created"] > data["split-off"].stats["tasks_created"]:
-        checks.append("splitting creates finer-grained tasks")
+    on, off = data["split-on"], data["split-off"]
+    checks = [
+        Check("splitting preserves the exact match count", on.value == off.value),
+        Check(
+            "splitting creates finer-grained tasks",
+            on.stats["tasks_created"] > off.stats["tasks_created"],
+        ),
+        Check("splitting is no more than 5% slower", on.total_seconds <= off.total_seconds * 1.05),
+    ]
     return ExperimentReport(
         "ablationB", "Recursive task splitting", rendered, data=data, checks=checks
     )
@@ -791,11 +880,17 @@ def ablation_fault_tolerance() -> ExperimentReport:
         ["no checkpoints", "checkpoints", "checkpoint + failure"],
         label_header="Run",
     )
-    checks = []
-    if with_failure.ok and len(with_failure.value) == len(baseline.value):
-        checks.append("the job survives a worker failure with the correct result")
-    if with_ckpt.total_seconds < baseline.total_seconds * 1.5:
-        checks.append("checkpoint overhead is modest")
+    checks = [
+        Check("checkpointing leaves the result unchanged", with_ckpt.value == baseline.value),
+        Check(
+            "the job survives a worker failure with the correct result",
+            with_failure.ok and len(with_failure.value) == len(baseline.value),
+        ),
+        Check(
+            "checkpoint overhead below 1.5x",
+            with_ckpt.total_seconds < baseline.total_seconds * 1.5,
+        ),
+    ]
     return ExperimentReport(
         "ablationC", "Fault tolerance", rendered,
         data={"baseline": baseline, "ckpt": with_ckpt, "failure": with_failure},
@@ -887,13 +982,16 @@ def ablation_chaos(seeds: Sequence[int] = (0, 1, 2, 3, 4)) -> ExperimentReport:
         labels,
         label_header="Schedule",
     )
-    checks = []
-    if exact == len(seeds):
-        checks.append(
-            "results under every chaos schedule are bit-identical to fault-free"
-        )
-    if any(r.stats["failures_detected"] > 0 for r in results):
-        checks.append("failures are detected by heartbeat silence, not an oracle")
+    checks = [
+        Check(
+            "results under every chaos schedule are bit-identical to fault-free",
+            exact == len(seeds), f"{exact}/{len(seeds)}",
+        ),
+        Check(
+            "failures are detected by heartbeat silence, not an oracle",
+            any(r.stats["failures_detected"] > 0 for r in results),
+        ),
+    ]
     return ExperimentReport(
         "ablationC2", "Chaos schedules", rendered,
         data=data, checks=checks,
@@ -913,11 +1011,10 @@ def ablation_multiprocess() -> ExperimentReport:
             for processes in process_counts
         ]
     )
-    rows, labels, data = [], [], {}
+    rows, data = [], {}
     for processes, r in zip(process_counts, results):
         key = f"{processes} process(es)"
         data[key] = r
-        labels.append(key)
         rows.append(
             [
                 format_cell(r),
@@ -931,16 +1028,25 @@ def ablation_multiprocess() -> ExperimentReport:
         "(one process/node shares the cache across all cores)",
         ["Time(s)", "Hit rate", "Pulls", "Net"],
         rows,
-        labels,
+        list(data),
         label_header="Deployment",
     )
-    checks = []
     shared = data["1 process(es)"]
     split = data["4 process(es)"]
-    if shared.stats["cache_hit_rate"] > split.stats["cache_hit_rate"]:
-        checks.append("sharing the cache raises the hit rate (the paper's default)")
-    if shared.stats["vertices_pulled"] < split.stats["vertices_pulled"]:
-        checks.append("splitting the cache multiplies remote pulls")
+    checks = [
+        Check(
+            "sharing the cache raises the hit rate (the paper's default)",
+            shared.stats["cache_hit_rate"] > split.stats["cache_hit_rate"],
+        ),
+        Check(
+            "splitting the cache multiplies remote pulls",
+            shared.stats["vertices_pulled"] < split.stats["vertices_pulled"],
+        ),
+        Check(
+            "splitting the cache raises network traffic",
+            shared.network_bytes < split.network_bytes,
+        ),
+    ]
     return ExperimentReport(
         "ablationD", "Cache sharing vs multi-process", rendered,
         data=data, checks=checks,

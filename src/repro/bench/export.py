@@ -1,11 +1,9 @@
 """Exporting job results and experiment reports as JSON.
 
-Serialisation now lives on the result types themselves —
+Serialisation lives on the result types themselves —
 :meth:`repro.core.job.JobResult.to_dict` and
-:meth:`repro.bench.report.ExperimentReport.to_dict` — so results
-round-trip without importing this module.  What remains here is
-:func:`save_json`/:func:`save_report`, the pieces genuinely about
-files.
+:meth:`repro.bench.report.ExperimentReport.to_dict`; this module holds
+:func:`save_json`/:func:`save_report`, the pieces about files.
 """
 
 from __future__ import annotations
@@ -15,12 +13,6 @@ import os
 from typing import Any, Dict
 
 from repro.bench.report import ExperimentReport
-
-
-def experiment_report_to_dict(report: ExperimentReport) -> Dict[str, Any]:
-    """Flatten an experiment report (delegates to
-    :meth:`ExperimentReport.to_dict`)."""
-    return report.to_dict()
 
 
 def save_json(record: Dict[str, Any], path: str) -> str:
@@ -36,14 +28,17 @@ def save_json(record: Dict[str, Any], path: str) -> str:
 def save_report(report: ExperimentReport, directory: str = "results") -> Dict[str, str]:
     """Archive a report as both ``<id>.txt`` and ``<id>.json``.
 
-    The text file is the human-readable rendering EXPERIMENTS.md is
-    assembled from; the JSON sibling carries the same experiment as
-    structured data (:meth:`ExperimentReport.to_dict`).  Neither
-    includes the host-accounting footer, so artifacts stay
-    byte-identical across worker counts and cache states.  Returns the
-    paths written, keyed by format.
+    The text file is the rendering EXPERIMENTS.md quotes; the JSON
+    sibling carries the same experiment as structured data
+    (:meth:`ExperimentReport.to_dict`).  Neither includes the
+    host-accounting footer, so artifacts stay byte-identical across
+    worker counts and cache states.  Returns the paths written, keyed
+    by format.
     """
-    txt_path = report.save(directory)
+    os.makedirs(directory, exist_ok=True)
+    txt_path = os.path.join(directory, f"{report.experiment_id}.txt")
+    with open(txt_path, "w", encoding="utf-8") as fh:
+        fh.write(report.render(with_footer=False) + "\n")
     json_path = os.path.join(directory, f"{report.experiment_id}.json")
     save_json(report.to_dict(), json_path)
     return {"txt": txt_path, "json": json_path}

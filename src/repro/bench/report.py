@@ -3,12 +3,13 @@
 ``"x"`` marks an out-of-memory failure, ``"-"`` a run that exceeded the
 time limit, a number the elapsed simulated seconds — matching the
 legend of Tables 1 and 3.  :class:`ExperimentReport` is the structured
-record a benchmark produces and EXPERIMENTS.md archives.
+record an experiment produces; ``results/`` archives it as text and JSON
+and EXPERIMENTS.md quotes the text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.job import JobResult, JobStatus, jsonable
@@ -84,6 +85,23 @@ def render_series(
 
 
 @dataclass
+class Check:
+    """One shape claim of the paper, evaluated once by its experiment.
+
+    ``name`` states the claim with its threshold, ``detail`` carries the
+    measured numbers.  A failed check stays in the report (rendered as
+    failed) and makes ``python -m repro.bench run`` exit 1.
+    """
+
+    name: str
+    passed: bool
+    detail: str = ""
+
+    def __str__(self) -> str:
+        return f"{self.name} [{self.detail}]" if self.detail else self.name
+
+
+@dataclass
 class ExperimentReport:
     """Structured outcome of one table/figure reproduction.
 
@@ -97,14 +115,16 @@ class ExperimentReport:
     title: str
     rendered: str
     data: Dict[str, Any] = field(default_factory=dict)
-    checks: List[str] = field(default_factory=list)  # shape assertions that held
+    checks: List[Check] = field(default_factory=list)  # the paper's shape claims
     notes: List[str] = field(default_factory=list)  # documented deviations
     footer: Optional[str] = None  # host-level accounting (not in data)
 
     def render(self, with_footer: bool = True) -> str:
         parts = [f"== {self.experiment_id}: {self.title} ==", self.rendered]
-        if self.checks:
-            parts.append("shape checks: " + "; ".join(self.checks))
+        held = [c for c in self.checks if c.passed]
+        for label, claims in (("shape checks", held), ("FAILED shape checks", self.failed_checks)):
+            if claims:
+                parts.append(f"{label}: " + "; ".join(map(str, claims)))
         if self.notes:
             parts.append("notes: " + "; ".join(self.notes))
         if with_footer and self.footer:
@@ -113,6 +133,10 @@ class ExperimentReport:
 
     def __str__(self) -> str:
         return self.render()
+
+    @property
+    def failed_checks(self) -> List[Check]:
+        return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> Dict[str, Any]:
         """Flatten to JSON-serialisable primitives (nested JobResults
@@ -131,21 +155,7 @@ class ExperimentReport:
             "experiment_id": self.experiment_id,
             "title": self.title,
             "rendered": self.rendered,
-            "checks": list(self.checks),
+            "checks": [asdict(c) for c in self.checks],
             "notes": list(self.notes),
             "data": convert(self.data),
         }
-
-    def save(self, directory: str = "results") -> str:
-        """Persist the rendered report (EXPERIMENTS.md is assembled
-        from these files).  The footer is omitted — archived artifacts
-        stay byte-identical whatever the worker count or cache state.
-        Returns the path written."""
-        import os
-
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, f"{self.experiment_id}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.render(with_footer=False))
-            fh.write("\n")
-        return path

@@ -662,9 +662,9 @@ class GMinerJob:
         """Record job-phase spans and run-level gauges, then freeze the
         session into ``result.obs``.
 
-        The gauges here are the regression gate's tracked quantities
-        (``repro.obs.compare``): simulated makespan, message count,
-        network bytes, tasks created and charged work units.
+        The gauges are the run-level totals: simulated makespan,
+        message count, network bytes, tasks created and charged work
+        units (pinned by ``tests/test_golden_values.py``).
         """
         obs = self.obs
         finish = result.total_seconds

@@ -13,10 +13,7 @@ One place for every measurement the reproduction makes:
   instrumentation on (:mod:`repro.obs.session`);
 * exporters — Chrome ``trace_event`` JSON for Perfetto, Prometheus
   text exposition, and the stable JSON metrics schema
-  (:mod:`repro.obs.exporters`);
-* the bench regression gate — ``python -m repro.obs.baseline`` writes
-  ``results/BENCH_obs.json``; ``python -m repro.obs.compare`` fails
-  when tracked quantities drift (:mod:`repro.obs.compare`).
+  (:mod:`repro.obs.exporters`).
 
 Observability is strictly read-only with respect to the simulation: it
 never schedules events or draws randomness, so enabling it cannot

@@ -1,11 +1,11 @@
-"""Environment metadata for bench exports.
+"""Environment metadata for benchmark exports.
 
-Every ``BENCH_*.json`` records *where* its numbers were measured —
-python/numpy versions, CPU count, platform — so a perf trajectory is
-attributable: a wall-clock regression on a 1-core CI runner is a very
-different fact from one on a 16-core workstation.  The regression gate
-(:mod:`repro.obs.compare`) never compares these keys; they exist for
-humans (and dashboards) reading the JSON.
+The end-to-end harness (``benchmarks/e2e``) records *where* its numbers
+were measured — python/numpy versions, CPU count, platform — so a perf
+trajectory is attributable: a wall-clock regression on a 1-core CI
+runner is a very different fact from one on a 16-core workstation.
+Nothing compares these keys; they exist for humans (and dashboards)
+reading the JSON.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ records:
 * :func:`prometheus_text` — the text exposition format, so a snapshot
   can be diffed, scraped from a file, or pushed to a gateway.
 * :func:`write_metrics_json` — the stable JSON snapshot schema
-  (``repro.obs.metrics/1``) that the bench regression gate
-  (:mod:`repro.obs.compare`) consumes.
+  (``repro.obs.metrics/1``) behind ``--metrics-out``.
 
 All writers serialise with sorted keys and fixed separators:
 same-seed runs produce byte-identical files.
@@ -167,12 +166,8 @@ def prometheus_text(metrics: Dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_prometheus(path: str, metrics: Dict[str, Any]) -> str:
-    return _write(path, prometheus_text(metrics))
-
-
 # ----------------------------------------------------------------------
-# JSON metrics snapshot (the regression gate's input)
+# JSON metrics snapshot
 # ----------------------------------------------------------------------
 
 

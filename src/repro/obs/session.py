@@ -139,12 +139,6 @@ class ObsCollector:
     def __len__(self) -> int:
         return len(self.runs)
 
-    def merged_metrics(self) -> Dict[str, Any]:
-        """Cross-run merge (counters/histograms sum, gauges max)."""
-        return MetricsRegistry.merge_snapshots(
-            run["metrics"] for run in self.runs
-        )
-
     # Export conveniences (delegate to repro.obs.exporters; imported
     # lazily to keep this module dependency-light for the hot path).
 
@@ -157,11 +151,6 @@ class ObsCollector:
         from repro.obs import exporters
 
         return exporters.write_metrics_json(path, self.runs)
-
-    def write_prometheus(self, path: str) -> str:
-        from repro.obs import exporters
-
-        return exporters.write_prometheus(path, self.merged_metrics())
 
 
 # ----------------------------------------------------------------------

@@ -99,10 +99,38 @@ def regen_work_units() -> None:
     print("}")
 
 
+#: Run-level gauges pinned per workload on skitter-s, in tuple order.
+OBS_GAUGES = (
+    "job.makespan", "job.messages", "job.network_bytes",
+    "job.tasks_created", "job.work_units",
+)
+
+
+def obs_gauges(workload: str) -> tuple:
+    """The :data:`OBS_GAUGES` of one observed run on skitter-s."""
+    from repro.bench.runner import run
+
+    result = run(
+        workload=workload, dataset="skitter-s", spec=_spec(),
+        time_limit=None, enable_obs=True,
+    )
+    assert result.ok, (workload, result.status)
+    gauges = result.obs["metrics"]["gauges"]
+    return tuple(gauges[name] for name in OBS_GAUGES)
+
+
+def regen_obs_gauges() -> None:
+    print("OBS_GAUGE_PINS = {")
+    for workload in ("tc", "mcf", "gm"):
+        print(f"    {workload!r}: {obs_gauges(workload)!r},")
+    print("}")
+
+
 TABLES = {
     "non-attributed": regen_non_attributed,
     "groups": regen_groups,
     "work-units": regen_work_units,
+    "obs-gauges": regen_obs_gauges,
 }
 
 

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.bench.report import ExperimentReport, format_cell, render_series, render_table
+from repro.bench.report import (
+    Check,
+    ExperimentReport,
+    format_cell,
+    render_series,
+    render_table,
+)
 from repro.bench.runner import (
     EXPERIMENT_SPEC,
     build_app,
@@ -63,9 +69,19 @@ class TestFormatting:
         assert "0.500" in out and "1.500" in out
 
     def test_report_str(self):
-        rep = ExperimentReport("t1", "Title", "body", checks=["c"], notes=["n"])
-        text = str(rep)
-        assert "t1" in text and "body" in text and "c" in text and "n" in text
+        rep = ExperimentReport(
+            "t1", "Title", "body",
+            checks=[Check("held", True, "1/1"), Check("broke", False)],
+            notes=["n"],
+        )
+        assert str(rep).splitlines() == [
+            "== t1: Title ==",
+            "body",
+            "shape checks: held [1/1]",
+            "FAILED shape checks: broke",
+            "notes: n",
+        ]
+        assert rep.failed_checks == [Check("broke", False)]
 
 
 class TestRunner:

@@ -20,7 +20,7 @@ from repro.graph.generators import preferential_attachment_graph
 from repro.mining.cost import WorkMeter
 from repro.mining.graphlets import graphlet_count_sequential
 from repro.sim.cluster import ClusterSpec
-from tests.regen_golden import group_digest
+from tests.regen_golden import group_digest, obs_gauges
 
 pytestmark = pytest.mark.golden
 
@@ -120,6 +120,23 @@ def test_work_unit_pins(key):
     workload, dataset = key.split("/")
     result = run(system="single-thread", workload=workload, dataset=dataset)
     assert result.stats["work_units"] == WORK_UNIT_PINS[key]
+
+
+#: workload -> ``regen_golden.OBS_GAUGES`` (makespan, messages, network
+#: bytes, tasks created, work units) of an observed run on skitter-s.
+#: The archived paper artefacts (``results/*.json``) carry every other
+#: simulated quantity per cell; the message count is in no
+#: ``JobResult.to_dict()``, so it is pinned here.
+OBS_GAUGE_PINS = {
+    "tc": (0.13422579999999998, 791.0, 256792.0, 323.0, 108658.0),
+    "mcf": (0.12891939999999996, 855.0, 258696.0, 463.0, 61223.0),
+    "gm": (0.19993249999999996, 344.0, 205312.0, 49.0, 26221.0),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(OBS_GAUGE_PINS))
+def test_obs_gauge_pins(workload):
+    assert obs_gauges(workload) == OBS_GAUGE_PINS[workload]
 
 
 def test_graphlet_work_unit_pin():

@@ -7,8 +7,8 @@ import pytest
 networkx = pytest.importorskip("networkx")
 
 from repro.apps import MaxCliqueApp, TriangleCountingApp
-from repro.bench.export import experiment_report_to_dict, save_json
-from repro.bench.report import ExperimentReport
+from repro.bench.export import save_json
+from repro.bench.report import Check, ExperimentReport
 from repro.core import GMinerConfig, GMinerJob
 from repro.graph.algorithms import triangle_count_exact
 from repro.graph.interop import from_networkx, to_networkx
@@ -81,8 +81,10 @@ class TestJSONExport:
 
     def test_experiment_report_export(self, result):
         report = ExperimentReport(
-            "t", "Title", "body", data={"run": result}, checks=["c"]
+            "t", "Title", "body", data={"run": result},
+            checks=[Check("c", True, "d")],
         )
-        record = experiment_report_to_dict(report)
+        record = report.to_dict()
         json.dumps(record)  # must be serialisable
         assert record["data"]["run"]["status"] == "ok"
+        assert record["checks"] == [{"name": "c", "passed": True, "detail": "d"}]

@@ -57,15 +57,24 @@ def dense_adjacency():
 
 
 @functools.lru_cache(maxsize=None)
+def denser_adjacency():
+    """Average degree ≈ 240: where the headline >=2x work claim is made."""
+    graph = preferential_attachment_graph(n=400, m=140, seed=7)
+    return {v: graph.neighbors(v) for v in graph.vertices()}
+
+
+@functools.lru_cache(maxsize=None)
 def exact_triangles():
     with kernels.use_backend("bitset"):
         return triangle_count_sequential(dense_adjacency(), WorkMeter())
 
 
-def _estimate(params):
+def _estimate(params, adjacency=None):
     with kernels.use_backend("sketch"), use_params(params):
         meter = WorkMeter()
-        est = triangle_count_estimate_sequential(dense_adjacency(), meter)
+        est = triangle_count_estimate_sequential(
+            adjacency or dense_adjacency(), meter
+        )
     return est, meter.units
 
 
@@ -111,9 +120,31 @@ class TestErrorLaw:
             exact_meter = WorkMeter()
             triangle_count_sequential(dense_adjacency(), exact_meter)
         assert work_coarse < work_fine < exact_meter.units
-        # the headline >=2x claim is pinned on the denser bench graph
-        # (benchmarks/sketch_bench.py); this graph supports ~1.9x
+        # this graph supports ~1.9x; the headline >=2x claim is checked
+        # on a denser graph by the next test
         assert exact_meter.units / work_fine >= 1.5
+
+    @pytest.mark.parametrize(
+        "epsilon,confidence", [(0.1, 0.90), (0.05, 0.95), (0.02, 0.99)]
+    )
+    def test_denser_graph_within_epsilon_and_work_halved(
+        self, epsilon, confidence
+    ):
+        adjacency = denser_adjacency()
+        with kernels.use_backend("bitset"):
+            exact_meter = WorkMeter()
+            exact = triangle_count_sequential(adjacency, exact_meter)
+        est, work = _estimate(
+            SketchParams(epsilon=epsilon, confidence=confidence, seed=0),
+            adjacency,
+        )
+        assert not est.exact
+        assert observed_error(exact, est.point) <= epsilon
+        # the headline claim: from the default accuracy up, under half
+        # the exact work; at (0.02, 0.99) k covers most neighbourhoods
+        # and no reduction is claimed
+        if epsilon >= 0.05:
+            assert exact_meter.units / work >= 2.0
 
 
 class TestReproducibility:
