@@ -11,9 +11,8 @@ attribute vectors like the paper's footnote 7 describes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Sequence, Tuple
-
-from repro import kernels
+from operator import lt
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: Encoding base: attribute integer = dimension * BASE + value.
 DIMENSION_BASE = 1000
@@ -54,31 +53,53 @@ class AttributeSpace:
         return self.dimensions * self.values_per_dimension
 
 
+def sorted_unique(attrs: Iterable[int]) -> Tuple[int, ...]:
+    """``attrs`` as a strictly ascending tuple, the ``*_sorted`` input
+    form; a tuple that already is one (every generator's output) is
+    returned untouched."""
+    if type(attrs) is tuple and all(map(lt, attrs, attrs[1:])):
+        return attrs
+    return tuple(sorted(set(attrs)))
+
+
+def _merge(ia: Tuple[int, ...], ib: Tuple[int, ...]) -> Tuple[List[int], List[int]]:
+    """Intersection and union, both ascending, of two strictly
+    ascending tuples in one two-pointer pass: at 4 to 10 values (every
+    attribute list here) cheaper than any set-kernel handle (DESIGN §1)."""
+    shared: List[int] = []
+    either: List[int] = []
+    i = j = 0
+    la, lb = len(ia), len(ib)
+    while i < la and j < lb:
+        x, y = ia[i], ib[j]
+        if x <= y:
+            either.append(x)
+            i += 1
+            if x == y:
+                shared.append(x)
+                j += 1
+        else:
+            either.append(y)
+            j += 1
+    either.extend(ia[i:] or ib[j:])  # at most one side has a tail
+    return shared, either
+
+
 def jaccard_similarity(a: Sequence[int], b: Sequence[int]) -> float:
     """Jaccard similarity of two attribute lists (CD's filter condition)."""
-    return jaccard_sorted(kernels.unique_sorted(a), kernels.unique_sorted(b))
+    return jaccard_sorted(sorted_unique(a), sorted_unique(b))
 
 
-def jaccard_sorted(ia: Any, ib: Any) -> float:
-    """Jaccard over pre-converted kernel array handles.
-
-    Kernels that compare one fixed attribute list against many
-    candidates convert each side once (:func:`repro.kernels.unique_sorted`)
-    and call this, skipping the per-comparison set/array rebuild.
-    """
-    la, lb = len(ia), len(ib)
-    if not la and not lb:
-        return 1.0
-    inter = kernels.intersect_count(ia, ib)
-    union = la + lb - inter
-    if union == 0:
-        return 1.0
-    return inter / union
+def jaccard_sorted(ia: Tuple[int, ...], ib: Tuple[int, ...]) -> float:
+    """Jaccard of two strictly ascending plain tuples
+    (:func:`sorted_unique` output); two empty lists are identical."""
+    shared, either = _merge(ia, ib)
+    return len(shared) / len(either) if either else 1.0
 
 
 def overlap_count(a: Sequence[int], b: Sequence[int]) -> int:
     """Number of shared attribute values."""
-    return kernels.intersect_count(kernels.unique_sorted(a), kernels.unique_sorted(b))
+    return len(_merge(sorted_unique(a), sorted_unique(b))[0])
 
 
 #: Denominator weight of an attribute outside the focus set.  FocusCO
@@ -105,32 +126,29 @@ def weighted_similarity(
     dampens coincidental low-weight matches.
     """
     return weighted_similarity_sorted(
-        kernels.unique_sorted(a), kernels.unique_sorted(b), weights, default_weight
+        sorted_unique(a), sorted_unique(b), weights, default_weight
     )
 
 
 def weighted_similarity_sorted(
-    ia: Any,
-    ib: Any,
+    ia: Tuple[int, ...],
+    ib: Tuple[int, ...],
     weights: Dict[int, float],
     default_weight: float = DEFAULT_UNFOCUSED_WEIGHT,
 ) -> float:
-    """:func:`weighted_similarity` over pre-converted kernel handles.
+    """:func:`weighted_similarity` of two strictly ascending plain
+    tuples (:func:`sorted_unique` output).
 
-    Both sums run in ascending attribute order — kernel intersections
-    and unions are sorted — because float addition is not associative
-    and an order-dependent sum would make similarity asymmetric.
+    Both sums are the builtin ``sum()`` over weights in ascending
+    attribute order: the order is the symmetry guarantee (float addition
+    is not associative), the builtin the bit-identity one (compensated
+    on Python ≥ 3.12, which a ``+=`` accumulator would not be).
     """
-    score = sum(
-        weights.get(attr, 0.0) for attr in kernels.tolist(kernels.intersect(ia, ib))
-    )
-    norm = sum(
-        weights.get(attr, default_weight)
-        for attr in kernels.tolist(kernels.union(ia, ib))
-    )
+    shared, either = _merge(ia, ib)
+    norm = sum([weights.get(attr, default_weight) for attr in either])
     if norm == 0.0:
         return 0.0
-    return score / norm
+    return sum([weights.get(attr, 0.0) for attr in shared]) / norm
 
 
 def infer_attribute_weights(

@@ -28,13 +28,16 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import kernels
-from repro.graph.attributes import infer_attribute_weights, weighted_similarity_sorted
+from repro.graph.attributes import infer_attribute_weights, weighted_similarity
+from repro.mining.community import (
+    DONE,
+    NEED,
+    VertexInfo,
+    attr_sketch,
+    info_bytes,
+    run_grower,
+)
 from repro.mining.cost import WorkMeter
-
-NEED = "need"
-DONE = "done"
-
-VertexInfo = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -74,25 +77,9 @@ class FocusedClusterGrower:
         self.finished = False
         self.result: Optional[Tuple[int, ...]] = None
         self._edge_weight_cache: Dict[Tuple[int, int], float] = {}
-        # kernel-handle caches for attribute and neighbour tuples; like
-        # the edge-weight cache these are derived views and do not
-        # count toward the task-memory estimate
-        self._attr_arrs: Dict[int, object] = {}
-        self._nbr_arrs: Dict[int, object] = {}
-
-    def _attr_arr(self, vid: int, attrs: Sequence[int]):
-        arr = self._attr_arrs.get(vid)
-        if arr is None:
-            arr = kernels.unique_sorted(attrs)
-            self._attr_arrs[vid] = arr
-        return arr
-
-    def _nbr_arr(self, vid: int, neighbors: Sequence[int]):
-        arr = self._nbr_arrs.get(vid)
-        if arr is None:
-            arr = kernels.as_array(neighbors)
-            self._nbr_arrs[vid] = arr
-        return arr
+        # kernel_backend="sketch" only: attribute handles (a derived view)
+        self._attr_sketches: Dict[int, object] = {}
+        self._member_bytes = info_bytes(self.member_data[seed])
 
     # -- helpers --------------------------------------------------------
 
@@ -112,30 +99,24 @@ class FocusedClusterGrower:
         if cached is not None:
             meter.charge()
             return cached
-        au = (
-            self.member_data[u][1] if u in self.member_data
-            else candidate_data[u][1]
-        )
-        av = (
-            self.member_data[v][1] if v in self.member_data
-            else candidate_data[v][1]
-        )
+        # a member's data is held by the grower, a candidate's supplied
+        au = (self.member_data.get(u) or candidate_data[u])[1]
+        av = (self.member_data.get(v) or candidate_data[v])[1]
         if kernels.get_backend() == "sketch":
             # sampled similarity from the attribute sketches (exact on
             # fully captured attribute lists); charged at the registers
             # examined instead of the raw list lengths
             weight, scanned = kernels.weighted_similarity_estimate(
-                self._attr_arr(u, au), self._attr_arr(v, av), self.weights
+                attr_sketch(self._attr_sketches, u, au),
+                attr_sketch(self._attr_sketches, v, av),
+                self.weights,
             )
             meter.charge(scanned + 1)
         else:
-            # charge the raw list lengths — the cost of the similarity
-            # the per-probe implementation modelled — not the
-            # deduplicated handle lengths
+            # charge the raw list lengths, the cost the per-probe
+            # implementation modelled, not the deduplicated ones
             meter.charge(len(au) + len(av) + 1)
-            weight = weighted_similarity_sorted(
-                self._attr_arr(u, au), self._attr_arr(v, av), self.weights
-            )
+            weight = weighted_similarity(au, av, self.weights)
         self._edge_weight_cache[key] = weight
         return weight
 
@@ -157,6 +138,7 @@ class FocusedClusterGrower:
     def _admit(self, v: int, connection: Dict[int, float], data: VertexInfo) -> None:
         self.members.add(v)
         self.member_data[v] = data
+        self._member_bytes += info_bytes(data)
         self.incident[v] = sum(connection.values())
         for u, w in connection.items():
             self.incident[u] += w
@@ -170,7 +152,7 @@ class FocusedClusterGrower:
                 self.incident[u] -= self._edge_weight(u, v, candidate_data, meter)
         self.total_weight -= self.incident[v]
         self.members.discard(v)
-        self.member_data.pop(v, None)
+        self._member_bytes -= info_bytes(self.member_data.pop(v))
         self.incident.pop(v, None)
 
     def frontier(self) -> Set[int]:
@@ -225,14 +207,13 @@ class FocusedClusterGrower:
                 # earlier in this same round
                 connection = dict(connections[v])
                 meter.charge(len(admitted_this_round))
-                hits = kernels.contains(
-                    self._nbr_arr(v, candidate_data[v][0]), admitted_this_round
-                )
-                for u, hit in zip(admitted_this_round, hits):
-                    if hit:
-                        connection[u] = self._edge_weight(
-                            u, v, candidate_data, meter
-                        )
+                if admitted_this_round:
+                    neighbors = set(candidate_data[v][0])
+                    for u in admitted_this_round:
+                        if u in neighbors:
+                            connection[u] = self._edge_weight(
+                                u, v, candidate_data, meter
+                            )
                 gain = sum(connection.values())
                 n = len(self.members)
                 trial_cohesion = 2.0 * (self.total_weight + gain) / (n + 1)
@@ -274,18 +255,7 @@ class FocusedClusterGrower:
         return tuple(sorted(self.members))
 
     def estimate_size(self) -> int:
-        member_bytes = sum(
-            16 + 8 * len(ns) + 8 * len(at) for ns, at in self.member_data.values()
-        )
-        return 64 + 16 * len(self.incident) + member_bytes
-
-
-def _info_of(
-    vid: int,
-    attributes: Mapping[int, Sequence[int]],
-    adjacency: Mapping[int, Iterable[int]],
-) -> VertexInfo:
-    return (tuple(adjacency.get(vid, ())), tuple(attributes.get(vid, ())))
+        return 64 + 16 * len(self.incident) + self._member_bytes
 
 
 def extract_focused_cluster(
@@ -304,14 +274,7 @@ def extract_focused_cluster(
         params,
         weights,
     )
-    supplied: Dict[int, VertexInfo] = {}
-    while True:
-        status, payload = grower.advance(supplied, meter)
-        if status == DONE:
-            return payload
-        for vid in payload:
-            if vid not in supplied:
-                supplied[vid] = _info_of(vid, attributes, adjacency)
+    return run_grower(grower, attributes, adjacency, meter)
 
 
 def focused_clustering_sequential(

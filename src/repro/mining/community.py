@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import kernels
-from repro.graph.attributes import jaccard_sorted
+from repro.graph.attributes import jaccard_similarity
 from repro.mining.cost import WorkMeter
 
 #: Stepper outcome tags.
@@ -76,15 +76,17 @@ class CommunityGrower:
         self.seed = seed
         self.params = params
         self.seed_attrs = tuple(seed_attrs)
-        self._seed_attr_arr = kernels.unique_sorted(self.seed_attrs)
-        # candidate attribute lists converted to kernel handles once;
-        # the greedy scan re-evaluates the same candidates every
-        # admission, so this cache is hit O(community size) times each
-        self._attr_arrs: Dict[int, object] = {}
+        # exact backends: the seed-vs-candidate verdict, a pure function
+        # of the pair that the greedy scan asks for again at every
+        # admission round (the charge is still made every round)
+        self._similar: Dict[int, bool] = {}
+        # kernel_backend="sketch" only: attribute handles
+        self._attr_sketches: Dict[int, object] = {}
         self.community: Set[int] = {seed}
         self.member_data: Dict[int, VertexInfo] = {
             seed: (tuple(seed_neighbors), self.seed_attrs)
         }
+        self._member_bytes = info_bytes(self.member_data[seed])
         self.internal_edges = 0
         # links[v] = edges between candidate v and the current community
         self.links: Dict[int, int] = {}
@@ -107,6 +109,7 @@ class CommunityGrower:
         """
         if self.finished:
             return (DONE, self.result)
+        sketch = kernels.get_backend() == "sketch"
         while len(self.community) < self.params.max_size:
             pending = [v for v in self.needed() if v not in candidate_data]
             if pending:
@@ -118,25 +121,24 @@ class CommunityGrower:
             for v, link_count in self.links.items():
                 if v in self.community:
                     continue
-                attr_arr = self._attr_arrs.get(v)
-                if attr_arr is None:
-                    attr_arr = kernels.unique_sorted(candidate_data[v][1])
-                    self._attr_arrs[v] = attr_arr
-                if kernels.get_backend() == "sketch":
+                if sketch:
                     # certified threshold test: a decisive confidence
                     # interval answers from the sketches, a straddling
                     # one falls back to the exact arrays (charged)
                     ok, scanned = kernels.jaccard_ge(
-                        self._seed_attr_arr, attr_arr, self.params.tau
+                        attr_sketch(self._attr_sketches, self.seed, self.seed_attrs),
+                        attr_sketch(self._attr_sketches, v, candidate_data[v][1]),
+                        self.params.tau,
                     )
                     meter.charge(scanned + 1)
-                    if not ok:
-                        continue
                 else:
-                    sim = jaccard_sorted(self._seed_attr_arr, attr_arr)
+                    ok = self._similar.get(v)
+                    if ok is None:
+                        sim = jaccard_similarity(self.seed_attrs, candidate_data[v][1])
+                        ok = self._similar[v] = sim >= self.params.tau
                     meter.charge(len(self.seed_attrs) + 1)
-                    if sim < self.params.tau:
-                        continue
+                if not ok:
+                    continue
                 key = (link_count, -v)
                 if best is None or key > best_key:
                     best = v
@@ -148,6 +150,7 @@ class CommunityGrower:
                 break
             self.community.add(best)
             self.member_data[best] = candidate_data[best]
+            self._member_bytes += info_bytes(candidate_data[best])
             self.internal_edges = new_edges
             neighbors, _ = candidate_data[best]
             meter.charge(len(neighbors))
@@ -169,18 +172,41 @@ class CommunityGrower:
 
     def estimate_size(self) -> int:
         """Byte estimate of persistent grower state (task memory)."""
-        member_bytes = sum(
-            16 + 8 * len(ns) + 8 * len(at) for ns, at in self.member_data.values()
-        )
-        return 64 + 16 * len(self.links) + member_bytes
+        return 64 + 16 * len(self.links) + self._member_bytes
 
 
-def _info_of(
-    vid: int,
+def info_bytes(info: VertexInfo) -> int:
+    """Task-memory estimate of one member's (neighbours, attributes)."""
+    return 16 + 8 * len(info[0]) + 8 * len(info[1])
+
+
+def attr_sketch(cache: Dict[int, object], vid: int, attrs: Sequence[int]):
+    """The ``sketch`` backend's handle of a vertex's attributes, built once."""
+    handle = cache.get(vid)
+    if handle is None:
+        handle = cache[vid] = kernels.unique_sorted(attrs)
+    return handle
+
+
+def run_grower(
+    grower,
     attributes: Mapping[int, Sequence[int]],
     adjacency: Mapping[int, Iterable[int]],
-) -> VertexInfo:
-    return (tuple(adjacency.get(vid, ())), tuple(attributes.get(vid, ())))
+    meter: WorkMeter,
+) -> Optional[Tuple[int, ...]]:
+    """Full-access driver of a cd or gc grower: answer every ``need``
+    straight from the graph until the grower is done."""
+    supplied: Dict[int, VertexInfo] = {}
+    while True:
+        status, payload = grower.advance(supplied, meter)
+        if status == DONE:
+            return payload
+        for vid in payload:
+            if vid not in supplied:
+                supplied[vid] = (
+                    tuple(adjacency.get(vid, ())),
+                    tuple(attributes.get(vid, ())),
+                )
 
 
 def grow_community(
@@ -197,14 +223,7 @@ def grow_community(
         tuple(attributes.get(seed, ())),
         params,
     )
-    supplied: Dict[int, VertexInfo] = {}
-    while True:
-        status, payload = grower.advance(supplied, meter)
-        if status == DONE:
-            return payload
-        for vid in payload:
-            if vid not in supplied:
-                supplied[vid] = _info_of(vid, attributes, adjacency)
+    return run_grower(grower, attributes, adjacency, meter)
 
 
 def community_detection_sequential(

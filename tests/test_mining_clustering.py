@@ -116,6 +116,57 @@ class TestStepperProtocol:
         assert grower.iterations == 1
 
 
+class TestRunningSizeEstimate:
+    def test_estimate_size_is_the_resummed_formula_after_every_step(
+        self, monkeypatch
+    ):
+        """``estimate_size`` keeps a running total instead of re-summing
+        ``member_data``; it must stay the same integer through every
+        admission and every ``_expel``."""
+        built = load_dataset("dblp-s")
+        g = built.graph
+        adj, attrs = adjacency_of(g), attributes_of(g)
+        target = min(built.community_map.values())
+        exemplars = sorted(v for v, c in built.community_map.items() if c == target)
+        weights = infer_attribute_weights([attrs[e] for e in exemplars[:5]])
+
+        def resummed(grower):
+            return (
+                64
+                + 16 * len(grower.incident)
+                + sum(
+                    16 + 8 * len(ns) + 8 * len(at)
+                    for ns, at in grower.member_data.values()
+                )
+            )
+
+        expelled = []
+        real_expel = FocusedClusterGrower._expel
+
+        def checked_expel(grower, v, candidate_data, meter):
+            real_expel(grower, v, candidate_data, meter)
+            expelled.append(v)
+            assert grower.estimate_size() == resummed(grower)
+
+        monkeypatch.setattr(FocusedClusterGrower, "_expel", checked_expel)
+        admitted = 0
+        for seed in range(0, 30):
+            grower = FocusedClusterGrower(
+                seed, adj[seed], attrs[seed], FocusParams(), weights
+            )
+            assert grower.estimate_size() == resummed(grower)
+            supplied = {}
+            while True:
+                status, payload = grower.advance(supplied, WorkMeter())
+                assert grower.estimate_size() == resummed(grower)
+                if status == DONE:
+                    break
+                for v in payload:
+                    supplied.setdefault(v, (adj[v], attrs[v]))
+            admitted += len(grower.members) - 1
+        assert admitted and expelled
+
+
 class TestSequential:
     def test_planted_dataset_recovers_focus_community(self):
         built = load_dataset("dblp-s")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.graph.datasets import load_dataset
 from repro.graph.graph import Graph
+from repro.mining import community as community_mod
 from repro.mining.community import (
     DONE,
     NEED,
@@ -130,6 +131,84 @@ class TestStepperProtocol:
         attrs = attributes_of(two_cliques_graph)
         grower = CommunityGrower(0, adj[0], attrs[0], PARAMS)
         assert grower.estimate_size() > 0
+
+
+def _resummed_size(grower):
+    """``estimate_size`` as it was computed before the running total."""
+    return (
+        64
+        + 16 * len(grower.links)
+        + sum(16 + 8 * len(ns) + 8 * len(at) for ns, at in grower.member_data.values())
+    )
+
+
+def _drive(grower, adj, attrs, after_step=lambda: None):
+    """Feed a grower from the whole graph; the trace of every step."""
+    meter = WorkMeter()
+    supplied = {}
+    trace = []
+    while True:
+        status, payload = grower.advance(supplied, meter)
+        trace.append((status, payload, meter.units))
+        after_step()
+        if status == DONE:
+            return trace
+        for v in payload:
+            supplied.setdefault(v, (adj[v], attrs[v]))
+
+
+class _Forgetful(dict):
+    """A verdict memo that never remembers: the pre-memo behaviour."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestHostSideState:
+    """The verdict memo and the running size total are invisible to
+    the simulation: same values, same charges, same estimate."""
+
+    SEEDS = range(0, 1000, 37)
+
+    def test_verdict_memo_leaves_value_and_units_unchanged(self, monkeypatch):
+        g = load_dataset("dblp-s").graph
+        adj, attrs = adjacency_of(g), attributes_of(g)
+        calls = []
+        real = community_mod.jaccard_similarity
+        monkeypatch.setattr(
+            community_mod,
+            "jaccard_similarity",
+            lambda a, b: calls.append(1) or real(a, b),
+        )
+        evaluated = {}
+        for forgetful in (False, True):
+            traces = []
+            for seed in self.SEEDS:
+                grower = CommunityGrower(seed, adj[seed], attrs[seed], CommunityParams())
+                if forgetful:
+                    grower._similar = _Forgetful()
+                traces.append(_drive(grower, adj, attrs))
+            evaluated[forgetful] = (traces, len(calls))
+            calls.clear()
+        assert evaluated[False][0] == evaluated[True][0]
+        # the memo did something: several rounds re-ask about a candidate
+        assert evaluated[False][1] < evaluated[True][1]
+        assert any(trace[-1][1] is not None for trace in evaluated[False][0])
+
+    def test_estimate_size_is_the_resummed_formula_after_every_step(self):
+        g = load_dataset("dblp-s").graph
+        adj, attrs = adjacency_of(g), attributes_of(g)
+        grew = 0
+        for seed in self.SEEDS:
+            grower = CommunityGrower(seed, adj[seed], attrs[seed], CommunityParams())
+            assert grower.estimate_size() == _resummed_size(grower)
+
+            def check():
+                assert grower.estimate_size() == _resummed_size(grower)
+
+            _drive(grower, adj, attrs, after_step=check)
+            grew += len(grower.community) > 1
+        assert grew
 
 
 class TestSequential:
