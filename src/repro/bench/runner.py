@@ -13,16 +13,8 @@ cell actually executes, whether called inline, by the ambient
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.apps import (
-    CommunityDetectionApp,
-    GraphClusteringApp,
-    GraphletCountingApp,
-    GraphMatchingApp,
-    MaxCliqueApp,
-    TriangleCountingApp,
-)
 from repro.baselines import (
     BatchSubgraphSystem,
     EmbeddingExploreSystem,
@@ -30,13 +22,15 @@ from repro.baselines import (
     VertexCentricSystem,
 )
 from repro.baselines.common import UnsupportedWorkload
-from repro.core import GMinerConfig, GMinerJob
+from repro.core import GMinerConfig
 from repro.core.api import GMinerApp
 from repro.core.job import JobResult
-from repro.graph.datasets import BuiltDataset, load_dataset
+from repro.graph.datasets import DATASETS, BuiltDataset, load_dataset
 from repro.mining.clustering import FocusParams
 from repro.mining.community import CommunityParams
 from repro.parallel import ParallelRunner, RunRequest, USE_DEFAULT
+from repro.plans.api import prepare_job
+from repro.plans.builtins import builtin_plan
 from repro.sim.cluster import ClusterSpec
 from repro.sim.failures import FailurePlan
 
@@ -87,28 +81,23 @@ def gc_exemplars(dataset: BuiltDataset, count: int = 5) -> List[int]:
     return sorted(dataset.graph.vertices())[:count]
 
 
-def build_app(app: str, dataset: BuiltDataset) -> GMinerApp:
-    """Instantiate the G-Miner application for a workload name."""
-    if app == "tc":
-        return TriangleCountingApp()
-    if app == "mcf":
-        return MaxCliqueApp()
-    if app == "gm":
-        return GraphMatchingApp()
+def bench_options(app: str, dataset: BuiltDataset) -> Dict[str, Any]:
+    """The workload options with which the paper tables differ from
+    the ``repro.mine()`` defaults — the only such places."""
     if app == "gl":
-        return GraphletCountingApp(k=3)
+        return {"k": 3}
     if app == "cd":
-        from repro.graph.datasets import DATASETS
-
         native = DATASETS.get(dataset.name)
         if native is not None and not native.attributed:
-            return CommunityDetectionApp(SYNTHETIC_CD_PARAMS)
-        return CommunityDetectionApp()
+            return {"params": SYNTHETIC_CD_PARAMS}
     if app == "gc":
-        graph = dataset.graph
-        attrs = [graph.attributes(v) for v in gc_exemplars(dataset)]
-        return GraphClusteringApp(attrs, params=BENCH_FOCUS_PARAMS)
-    raise ValueError(f"unknown app {app!r}")
+        return {"exemplars": gc_exemplars(dataset), "params": BENCH_FOCUS_PARAMS}
+    return {}
+
+
+def build_app(app: str, dataset: BuiltDataset) -> GMinerApp:
+    """Instantiate the G-Miner application for a workload name."""
+    return builtin_plan(app).build_app(dataset.graph, **bench_options(app, dataset))
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +112,6 @@ def _resolve_time_limit(value: Union[float, None, str]) -> Optional[float]:
 
 def _execute_gminer(request: RunRequest) -> JobResult:
     dataset = prepare_dataset(request.dataset, request.workload)
-    gminer_app = build_app(request.workload, dataset)
     config = request.config
     if config is None:
         config = GMinerConfig(
@@ -133,10 +121,13 @@ def _execute_gminer(request: RunRequest) -> JobResult:
     overrides = request.overrides_dict()
     if overrides:
         config = config.replace(**overrides)
-    job = GMinerJob(
-        gminer_app, dataset.graph, config, failure_plan=request.failure_plan
-    )
-    return job.run()
+    return prepare_job(
+        dataset.graph,
+        workload=request.workload,
+        config=config,
+        failure_plan=request.failure_plan,
+        **bench_options(request.workload, dataset),
+    ).run()
 
 
 def execute_request(request: RunRequest) -> Optional[JobResult]:

@@ -34,11 +34,6 @@ class GMinerConfig:
     enable_lsh: bool = True
     lsh_signature_size: int = 4
     store_block_tasks: int = 64  # tasks per disk-resident block
-    #: A block also splits past this many bytes, so heavy tasks (GC
-    #: growers, GM partial-embedding sets) cannot balloon the one
-    #: in-memory head block — the store's whole point is bounding
-    #: memory (§4.3).
-    store_block_bytes: int = 262_144
 
     # -- RCV cache (§7) -------------------------------------------------
     cache_policy: str = "rcv"  # "rcv" | "lru" | "fifo"
@@ -72,22 +67,9 @@ class GMinerConfig:
     progress_interval: float = 0.02  # seconds between progress reports
 
     # -- fault tolerance (§7) ------------------------------------------------
+    #: The failure detector's and the pull RPC's timing are constants
+    #: next to their readers (``core/master.py``, ``core/worker.py``).
     checkpoint_interval: Optional[float] = None  # seconds; None disables
-    heartbeat_interval: float = 0.02  # seconds between worker heartbeats
-    #: Heartbeat silence after which the master *suspects* a worker;
-    #: silence past twice this confirms the failure and triggers
-    #: recovery.  Must comfortably exceed ``heartbeat_interval`` or
-    #: ordinary jitter produces false positives.
-    suspect_timeout: float = 0.08
-    #: Per-pull RPC timeout: an unanswered pull is retransmitted with
-    #: seeded exponential backoff + jitter after this many seconds.
-    rpc_timeout: float = 0.05
-    #: Retries per backoff cycle.  An exhausted cycle does not abandon
-    #: the pull (that would lose the task): the worker cools down for
-    #: one maximum-backoff period and starts a fresh cycle, unless the
-    #: owner has been declared down (then the pull parks until
-    #: ``WorkerUp``).
-    rpc_max_retries: int = 4
 
     # -- extensions (paper §9 future work) -----------------------------------
     enable_splitting: bool = False
@@ -101,7 +83,6 @@ class GMinerConfig:
     #: off (no allocations on the hot path) when False, unless an
     #: ambient :class:`repro.obs.ObsCollector` is installed.
     enable_obs: bool = False
-    obs_span_capacity: int = 500_000  # max spans before dropping
 
     # -- verification -------------------------------------------------------
     #: Arm the runtime invariant checker (:mod:`repro.verify`): an
@@ -348,29 +329,6 @@ class GMinerConfig:
                     f"sketch_seed only applies to kernel_backend='sketch' "
                     f"(got kernel_backend={self.kernel_backend!r})"
                 )
-        if self.heartbeat_interval <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be a positive number of simulated "
-                f"seconds; got {self.heartbeat_interval!r}"
-            )
-        if self.suspect_timeout <= self.heartbeat_interval:
-            raise ValueError(
-                f"suspect_timeout ({self.suspect_timeout!r}) must exceed "
-                f"heartbeat_interval ({self.heartbeat_interval!r}), or every "
-                "ordinary heartbeat gap becomes a false suspicion; use at "
-                "least 2-4 heartbeat intervals"
-            )
-        if self.rpc_timeout <= 0:
-            raise ValueError(
-                f"rpc_timeout must be a positive number of simulated "
-                f"seconds; got {self.rpc_timeout!r}"
-            )
-        if self.rpc_max_retries < 0:
-            raise ValueError(
-                f"rpc_max_retries cannot be negative; got "
-                f"{self.rpc_max_retries!r} (0 means retry once per cycle "
-                "with no backoff growth)"
-            )
         if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
             raise ValueError(
                 f"checkpoint_interval must be a positive number of simulated "
@@ -389,12 +347,6 @@ class GMinerConfig:
                 f"job_deadline must be a positive (finite) number of seconds "
                 f"(simulated for execution='sim', wall-clock for 'native'), "
                 f"or None to disable the deadline; got {self.job_deadline!r}"
-            )
-        if self.obs_span_capacity < 0:
-            raise ValueError(
-                f"obs_span_capacity cannot be negative; got "
-                f"{self.obs_span_capacity!r} (0 keeps metrics but records "
-                "no spans)"
             )
         if self.store_block_tasks < 1:
             raise ValueError("store_block_tasks must be >= 1")

@@ -387,7 +387,6 @@ class GMinerJob:
             obs = ObsSession(
                 clock=lambda: sim.now,
                 name=self.app.name,
-                span_capacity=self.config.obs_span_capacity,
             )
             obs.task_base = peek_task_id()
             sim.obs = obs

@@ -28,6 +28,15 @@ from repro.core.messages import (
 )
 from repro.sim.cluster import Cluster
 
+#: Simulated seconds between worker heartbeats, and between the
+#: master's monitor ticks.
+HEARTBEAT_INTERVAL = 0.02
+#: Heartbeat silence after which the master *suspects* a worker;
+#: silence past twice this confirms the failure and triggers recovery.
+#: Must comfortably exceed :data:`HEARTBEAT_INTERVAL` (2-4 intervals at
+#: least) or ordinary jitter produces false positives.
+SUSPECT_TIMEOUT = 0.08
+
 
 class Master:
     """Coordinator for one G-Miner job."""
@@ -179,7 +188,7 @@ class Master:
     def start_failure_monitor(self) -> None:
         """Arm the heartbeat timeout monitor.
 
-        Silence beyond ``suspect_timeout`` marks a worker *suspected*;
+        Silence beyond :data:`SUSPECT_TIMEOUT` marks a worker *suspected*;
         beyond twice that, the failure is confirmed and the normal
         recovery machinery (``handle_worker_failure``) runs.  A
         heartbeat from a confirmed-down worker re-admits it through
@@ -193,13 +202,13 @@ class Master:
         now = self.sim.now
         for worker in range(self.num_workers):
             self.last_heard[worker] = now
-        self.sim.schedule(self.config.heartbeat_interval, self._monitor_tick)
+        self.sim.schedule(HEARTBEAT_INTERVAL, self._monitor_tick)
 
     def _monitor_tick(self) -> None:
         if self.controller.finished:
             return
         now = self.sim.now
-        suspect_after = self.config.suspect_timeout
+        suspect_after = SUSPECT_TIMEOUT
         confirm_after = 2.0 * suspect_after
         for worker in range(self.num_workers):
             if worker in self.down_workers:
@@ -240,7 +249,7 @@ class Master:
                 self.cluster.network.send(
                     self.endpoint, worker, view.size_bytes(), view
                 )
-        self.sim.schedule(self.config.heartbeat_interval, self._monitor_tick)
+        self.sim.schedule(HEARTBEAT_INTERVAL, self._monitor_tick)
 
     def _on_heartbeat(self, worker: int, incarnation: int = 0) -> None:
         self.last_heard[worker] = self.sim.now

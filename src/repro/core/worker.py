@@ -26,6 +26,7 @@ from repro.core.aggregator import AggregatorState
 from repro.core.api import GMinerApp
 from repro.core.config import GMinerConfig
 from repro.core.lsh import MinHashLSH
+from repro.core.master import HEARTBEAT_INTERVAL
 from repro.core.messages import (
     AggBroadcast,
     AggReport,
@@ -48,6 +49,20 @@ from repro.core.task import Task, TaskEnv, TaskStatus
 from repro.core.task_store import TaskStore
 from repro.graph.graph import VertexData
 from repro.sim.cluster import Cluster, Node
+
+#: A task-store block also splits past this many bytes, so heavy tasks
+#: (GC growers, GM partial-embedding sets) cannot balloon the one
+#: in-memory head block — the store's whole point is bounding memory
+#: (§4.3).
+STORE_BLOCK_BYTES = 262_144
+#: Per-pull RPC timeout: an unanswered pull is retransmitted with
+#: seeded exponential backoff + jitter after this many simulated seconds.
+RPC_TIMEOUT = 0.05
+#: Retries per backoff cycle.  An exhausted cycle does not abandon the
+#: pull (that would lose the task): the worker cools down for one
+#: maximum-backoff period and starts a fresh cycle, unless the owner has
+#: been declared down (then the pull parks until ``WorkerUp``).
+RPC_MAX_RETRIES = 4
 
 
 @dataclass
@@ -138,7 +153,7 @@ class SimWorker:
             on_alloc=lambda n: node.allocate(n, "task store"),
             on_free=node.free,
             notify=self._pump_retriever,
-            block_bytes=config.store_block_bytes,
+            block_bytes=STORE_BLOCK_BYTES,
         )
         # §5.1: one process per node shares one cache (the default);
         # multi-process deployment splits the budget into independent
@@ -484,8 +499,6 @@ class SimWorker:
         self._arm_heartbeat()
 
     def _arm_heartbeat(self) -> None:
-        interval = self.config.heartbeat_interval
-
         def tick() -> None:
             if self.controller.finished:
                 return
@@ -497,16 +510,16 @@ class SimWorker:
                 self.cluster.network.send(
                     self.worker_id, self.master_endpoint, beat.size_bytes(), beat
                 )
-            self.sim.schedule(interval, tick)
+            self.sim.schedule(HEARTBEAT_INTERVAL, tick)
 
-        self.sim.schedule(interval, tick)
+        self.sim.schedule(HEARTBEAT_INTERVAL, tick)
 
     def _rpc_delay(self, attempt: int) -> float:
         """Exponential backoff with seeded jitter; the exponent is
-        capped at ``rpc_max_retries`` so cool-down cycles cannot grow
+        capped at :data:`RPC_MAX_RETRIES` so cool-down cycles cannot grow
         without bound."""
-        exponent = min(attempt, self.config.rpc_max_retries)
-        base = self.config.rpc_timeout * (2.0 ** exponent)
+        exponent = min(attempt, RPC_MAX_RETRIES)
+        base = RPC_TIMEOUT * (2.0 ** exponent)
         return base * (1.0 + 0.25 * self._rpc_rng.random())
 
     def _on_rpc_timeout(self, seq: int) -> None:
@@ -520,14 +533,14 @@ class SimWorker:
             del self._pending_rpcs[seq]
             return
         pending.attempts += 1
-        if pending.attempts > self.config.rpc_max_retries:
+        if pending.attempts > RPC_MAX_RETRIES:
             # cycle exhausted.  Abandoning the pull would strand its
             # tasks forever, so instead rest for one maximum-backoff
             # period and start a fresh cycle.
             self.stats.rpc_backoff_cycles += 1
             pending.attempts = 0
             pending.timer = self.sim.schedule(
-                self._rpc_delay(self.config.rpc_max_retries),
+                self._rpc_delay(RPC_MAX_RETRIES),
                 lambda: self._on_rpc_timeout(seq),
             )
             return
@@ -822,7 +835,7 @@ class SimWorker:
             self._cancel_pending_migrations_to(pending.dest)
             return
         pending.attempts += 1
-        if pending.attempts > self.config.rpc_max_retries:
+        if pending.attempts > RPC_MAX_RETRIES:
             self.stats.rpc_backoff_cycles += 1
             pending.attempts = 0
         else:

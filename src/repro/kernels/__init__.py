@@ -6,8 +6,7 @@ lists, candidate sets, attribute lists:
 
 * ``intersect`` / ``intersect_count`` — the primitive that decides
   graph-pattern-mining throughput (G²Miner, ProbGraph);
-* ``difference`` / ``union`` — candidate filtering and attribute
-  similarity;
+* ``union`` — the exact fallback of the sketch similarity estimate;
 * ``contains`` — bulk membership probes;
 * ``slice_gt`` / ``slice_lt`` — the ubiquitous "higher-ID neighbours"
   restriction and its mirror (order bounds of compiled plans).
@@ -54,7 +53,6 @@ __all__ = [
     "tolist",
     "intersect",
     "intersect_count",
-    "difference",
     "union",
     "contains",
     "slice_gt",
@@ -230,11 +228,6 @@ def intersect(a: Any, b: Any) -> Any:
 def intersect_count(a: Any, b: Any) -> int:
     """``|a ∩ b|`` without materialising the intersection."""
     return _active.intersect_count(a, b)
-
-
-def difference(a: Any, b: Any) -> Any:
-    """Sorted difference ``a \\ b`` as a new handle."""
-    return _active.difference(a, b)
 
 
 def union(a: Any, b: Any) -> Any:

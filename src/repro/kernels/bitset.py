@@ -109,15 +109,6 @@ def intersect_count(a: BitsetIds, b: BitsetIds) -> int:
     return len(a.as_set & b.as_set)
 
 
-def difference(a: BitsetIds, b: BitsetIds) -> BitsetIds:
-    if not a.ids or not b.ids:
-        return a
-    if _bit_ok(a, b):
-        return BitsetIds(tuple(_decode(a.mask & ~b.mask)))
-    drop = a.as_set & b.as_set
-    return BitsetIds(tuple(x for x in a.ids if x not in drop))
-
-
 def union(a: BitsetIds, b: BitsetIds) -> BitsetIds:
     if not a.ids:
         return b

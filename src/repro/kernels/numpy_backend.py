@@ -65,12 +65,6 @@ def intersect_count(a, b) -> int:
     return int(_np.count_nonzero(_member_mask(a, b)))
 
 
-def difference(a, b):
-    if a.size == 0 or b.size == 0:
-        return a
-    return a[~_member_mask(a, b)]
-
-
 def union(a, b):
     if a.size == 0:
         return b

@@ -99,15 +99,6 @@ def intersect_count(a: SortedIds, b: SortedIds) -> int:
     return len(set(a).intersection(b))
 
 
-def difference(a: SortedIds, b: SortedIds) -> SortedIds:
-    if not a or not b:
-        return a
-    drop = set(a).intersection(b)
-    if not drop:
-        return a
-    return SortedIds(x for x in a if x not in drop)
-
-
 def union(a: SortedIds, b: SortedIds) -> SortedIds:
     if not a:
         return b

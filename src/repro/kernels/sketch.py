@@ -516,10 +516,6 @@ def intersect_count(a: Any, b: Any) -> int:
     return reference.intersect_count(as_array(a), as_array(b))
 
 
-def difference(a: Any, b: Any) -> SketchedIds:
-    return SketchedIds(reference.difference(as_array(a), as_array(b)))
-
-
 def union(a: Any, b: Any) -> SketchedIds:
     return SketchedIds(reference.union(as_array(a), as_array(b)))
 

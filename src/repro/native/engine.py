@@ -209,7 +209,6 @@ def run_native(
         obs = ObsSession(
             clock=lambda: time.perf_counter() - origin,
             name=app.name,
-            span_capacity=config.obs_span_capacity,
         )
 
     started = time.perf_counter()

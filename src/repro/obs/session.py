@@ -43,7 +43,6 @@ class ObsSession:
         clock: Callable[[], float],
         name: str = "",
         labels: Optional[Dict[str, str]] = None,
-        span_capacity: int = 500_000,
     ) -> None:
         self.name = name
         self.labels = dict(labels or {})
@@ -54,7 +53,7 @@ class ObsSession:
         #: ``repro.core.task.peek_task_id()`` at session creation.
         self.task_base = 0
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(clock, capacity=span_capacity)
+        self.tracer = Tracer(clock)
         self._clock = clock
         # hot-path handle caches (created lazily, once per series)
         self._net_messages: Dict[str, Any] = {}

@@ -88,6 +88,10 @@ class Span:
         return record
 
 
+#: Spans a tracer records before dropping (and counting) the rest.
+SPAN_CAPACITY = 500_000
+
+
 class Tracer:
     """Capacity-bounded span recorder bound to a clock function.
 
@@ -97,7 +101,7 @@ class Tracer:
     growing without bound.
     """
 
-    def __init__(self, clock: Callable[[], float], capacity: int = 500_000) -> None:
+    def __init__(self, clock: Callable[[], float], capacity: int = SPAN_CAPACITY) -> None:
         self._clock = clock
         self.capacity = capacity
         self.spans: List[Span] = []

@@ -12,55 +12,12 @@ kernel-backend) cases and, for each one:
 3. runs the single-thread baseline kernel as the ground-truth oracle —
    normalised results must agree.
 
-With ``--plan-axis`` every case additionally exercises the pattern
-plan compiler (:mod:`repro.plans`): the tailed-triangle motif — and,
-when the case's workload has a pattern-vocabulary equivalent (tc, gm),
-that query too — is compiled and run distributed under *both* kernel
-backends; the runs must agree with each other on the full fingerprint,
-with the brute-force embedding oracle on the value, and with the
-legacy grower's result where one exists.
-
-With ``--native-axis`` every case also runs under the native
-multiprocess engine (:mod:`repro.native`) on its fault-free twin
-(native mode refuses chaos schedules): worker counts 1 and 2 — under
-*different* kernel backends — must agree on the full result
-fingerprint, and the native run must match the simulated one per
-DESIGN.md's equivalence contract (value/aggregated always; raw value,
-``num_results``, ``tasks_created`` for every schedule-independent
-workload; ``work_units`` additionally when the simulated cache never
-re-pulled).  A compiled tailed-triangle plan rides the same checks.
-
-With ``--native-chaos`` every case additionally runs the native engine
-under a seeded *survivable* :class:`~repro.native.NativeFaultPlan`
-(worker crashes, hangs, stragglers, transient chunk errors — derived
-deterministically from the case seed, bounded so the supervisor's
-retry/respawn budgets always cover it): the chaotic run must match the
-fault-free native run on the **full** result fingerprint (value,
-``num_results``, every stats entry — the determinism-under-crashes
-contract), must not raise, and the fault-free native leg must match
-the simulator per the equivalence contract.
-
-With ``--sketch-axis`` every estimate-capable case (tc, cd, gc) is
-additionally run under the probabilistic ``sketch`` kernel backend
-with a case-seeded accuracy knob and sketch seed: the run's estimate
-must fall within the error bound it *itself* stated (its confidence
-interval and epsilon, widened by a deterministic slack — see
-:mod:`repro.verify.approx`), ``JobResult.value`` must be the rounded
-estimate point, two same-sketch-seed runs must agree on the full
-fingerprint (bit-reproducibility), and threshold-certified workloads
-(cd, gc — whose short attribute lists every sketch captures fully)
-must match the exact run outright.  Exact-only workloads instead
-assert the ``prepare_job`` gate rejects ``backend="sketch"``.
-
-With ``--service-axis`` every case is additionally submitted through a
-:class:`~repro.service.MiningService`: three copies of the case's job
-under seeded tenants and priority classes, interleaved by the
-service's deficit-round-robin scheduler, plus the same job standalone
-via ``repro.mine()``.  Every service result must match the standalone
-run on the **full** fingerprint (value, ``num_results``, the entire
-simulated timeline — interleaving slices must be invisible to the
-job), and two same-seed service runs must produce byte-identical
-schedule logs.
+Every further contract is an :class:`Axis` in :data:`AXES`: one check
+whose docstring is the contract's only statement (``--help`` prints
+it, docs/testing.md tabulates it), armed by the case key / CLI flag
+its name spells.  Every leg is built by
+:func:`repro.plans.api.prepare_job`, the front door ``repro.mine()``
+and the service use, so the fuzzer runs the jobs users run.
 
 Any mismatch (or :class:`~repro.verify.InvariantViolation`) is shrunk
 by delta-debugging the vertex set (induced subgraphs) and simplifying
@@ -80,38 +37,26 @@ import json
 import os
 import random
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import kernels
-from repro.apps import (
-    CommunityDetectionApp,
-    GraphClusteringApp,
-    GraphMatchingApp,
-    MaxCliqueApp,
-    TriangleCountingApp,
-)
 from repro.baselines.single_thread import SingleThreadSystem
 from repro.core.config import GMinerConfig
-from repro.core.job import GMinerJob, JobStatus
+from repro.core.job import JobStatus
 from repro.graph.generators import (
     preferential_attachment_graph,
     random_attributes,
     random_labels,
 )
 from repro.graph.graph import Graph
-from repro.mining.clustering import FocusParams
-from repro.mining.community import CommunityParams
 from repro.native import NativeChunkError, NativeFaultPlan
-from repro.mining.patterns import PAPER_PATTERN
-from repro.plans import (
-    PatternQuery,
-    PlanApp,
-    compile_pattern,
-    count_embeddings_bruteforce,
-    motif,
-)
+from repro.plans import builtin_plan, count_embeddings_bruteforce, mine, motif
+from repro.plans.api import prepare_job
+from repro.service import MiningService, ServiceConfig
 from repro.sim.cluster import ClusterSpec
 from repro.sim.failures import FailurePlan
+from repro.verify import approx
 from repro.verify.invariants import InvariantViolation
 from repro.verify.metamorphic import normalize_value
 
@@ -119,6 +64,12 @@ SCHEMA = "repro.verify.fuzz/1"
 #: tc dominates (cheapest, sharpest oracle); the rest rotate through.
 WORKLOADS = ("tc", "tc", "mcf", "gm", "cd", "gc")
 LABEL_ALPHABET = ("a", "b", "c", "d", "e")
+#: Simulated seconds after which a simulated leg is cut off and
+#: reported as "did not complete: timeout", so a livelocked run is a
+#: shrinkable mismatch instead of a hung job.  The slowest leg over the
+#: six CI command lines takes 0.69 simulated seconds (cd, case seed
+#: 1000003); a livelocked one costs ~1.5 host seconds per simulated.
+SIM_TIME_CAP = 10.0
 
 
 # ----------------------------------------------------------------------
@@ -128,12 +79,7 @@ LABEL_ALPHABET = ("a", "b", "c", "d", "e")
 
 def second_backend() -> str:
     """The backend to differentiate against "reference"."""
-    try:
-        import numpy  # noqa: F401
-
-        return "numpy"
-    except ImportError:
-        return "bitset"
+    return "numpy" if "numpy" in kernels.available_backends() else "bitset"
 
 
 def generate_case(seed: int) -> Dict[str, Any]:
@@ -221,354 +167,200 @@ def plan_from_case(case: Dict[str, Any]) -> Optional[FailurePlan]:
     return plan
 
 
-def _build_app(case: Dict[str, Any], graph: Graph):
-    workload = case["workload"]
-    if workload == "tc":
-        return TriangleCountingApp()
-    if workload == "mcf":
-        return MaxCliqueApp()
-    if workload == "gm":
-        return GraphMatchingApp()
-    if workload == "cd":
-        return CommunityDetectionApp()
-    if workload == "gc":
-        exemplars = _exemplars(graph)
-        return GraphClusteringApp([graph.attributes(e) for e in exemplars])
-    raise ValueError(f"unknown workload {workload!r}")
-
-
-def _exemplars(graph: Graph) -> List[int]:
-    return sorted(graph.vertices())[:3]
-
-
 # ----------------------------------------------------------------------
-# differential execution
+# the legs: every job the fuzzer runs is built here, by prepare_job
 # ----------------------------------------------------------------------
 
 
-def run_distributed(case: Dict[str, Any], backend: str):
-    """One G-Miner run with invariant checking armed; returns JobResult."""
-    graph = graph_from_case(case)
-    config = GMinerConfig(
+def _job(case: Dict[str, Any], pattern, config: GMinerConfig, failure_plan):
+    """The case's workload — or, given ``pattern``, that compiled query
+    — on the case's graph, through the one public front door."""
+    return prepare_job(
+        graph_from_case(case),
+        pattern=pattern,
+        workload=case["workload"] if pattern is None else None,
+        config=config,
+        failure_plan=failure_plan,
+    )
+
+
+def sim_config(case: Dict[str, Any], backend: str, **config: Any) -> GMinerConfig:
+    """The case's simulated-cluster config under ``backend``: invariant
+    checking armed, :data:`SIM_TIME_CAP` applied, then the case's own
+    knobs, then ``config``."""
+    return GMinerConfig(
         cluster=ClusterSpec(
             num_nodes=case["num_nodes"], cores_per_node=case["cores_per_node"]
         ),
         verify=True,
         kernel_backend=backend,
-        **case["config"],
+        **{"time_limit": SIM_TIME_CAP, **case["config"], **config},
     )
-    job = GMinerJob(_build_app(case, graph), graph, config, plan_from_case(case))
+
+
+def run_sim(case: Dict[str, Any], backend: str, *, pattern=None, **config: Any):
+    """One simulated G-Miner run under the case's failure plan."""
+    job = _job(case, pattern, sim_config(case, backend, **config), plan_from_case(case))
     return job.run()
+
+
+def run_native(
+    case: Dict[str, Any],
+    backend: str,
+    workers: int,
+    *,
+    pattern=None,
+    failure_plan: Optional[NativeFaultPlan] = None,
+    **config: Any,
+):
+    """One native-engine run (``config``: the supervision knobs)."""
+    # chunk_size 16 so even the fuzzer's small graphs split into
+    # enough chunks that workers=2 genuinely exercises the pool
+    native = GMinerConfig(
+        execution="native",
+        native_workers=workers,
+        native_chunk_size=16,
+        kernel_backend=backend,
+        **config,
+    )
+    return _job(case, pattern, native, failure_plan).run()
 
 
 def run_oracle(case: Dict[str, Any]):
     """The single-thread ground truth for this case's workload."""
     graph = graph_from_case(case)
-    system = SingleThreadSystem()
-    return system.run(
+    return SingleThreadSystem().run(
         case["workload"],
         graph,
-        community_params=CommunityParams(),
-        focus_params=FocusParams(),
-        exemplars=_exemplars(graph),
+        # the focus prepare_job gives gc when told nothing else
+        exemplars=sorted(graph.vertices())[:3],
     )
 
 
-def _fingerprint(result) -> Dict[str, Any]:
-    """The quantities two kernel backends must agree on exactly.
+# ----------------------------------------------------------------------
+# the comparisons
+# ----------------------------------------------------------------------
 
-    Backends are value- and work-unit-identical, so the entire
-    simulated timeline — not just the answer — must match.
+
+class LegFailed(Exception):
+    """A leg that did not produce a comparable result; ``str()`` is the
+    mismatch line."""
+
+
+def completed(tag: str, thunk: Callable[[], Any]):
+    """``thunk()``'s result, or :class:`LegFailed` when the run trips
+    an invariant or ends in any status but OK (a livelocked leg ends
+    in ``timeout`` at :data:`SIM_TIME_CAP`)."""
+    try:
+        result = thunk()
+    except InvariantViolation as violation:
+        raise LegFailed(f"{tag}: invariant violation: {violation}") from None
+    if result.status is not JobStatus.OK:
+        raise LegFailed(f"{tag} did not complete: {result.status.value}")
+    return result
+
+
+def diverged(what: str, a, b) -> List[str]:
+    """``[]`` when two results share a full fingerprint, else one
+    mismatch line: ``what`` (which says who diverged from whom) and
+    the differing entries.
+
+    Backends are value- and work-unit-identical, so the fingerprint is
+    the entire simulated timeline — not just the answer.
     """
-    return {
-        "status": result.status.value,
-        "value": result.value,
-        "num_results": result.num_results,
-        "total_seconds": result.total_seconds,
-        "network_bytes": result.network_bytes,
-        "stats": dict(sorted(result.stats.items())),
-    }
+    fp_a, fp_b = (
+        {
+            "status": result.status.value,
+            "value": result.value,
+            "num_results": result.num_results,
+            "total_seconds": result.total_seconds,
+            "network_bytes": result.network_bytes,
+            "stats": dict(sorted(result.stats.items())),
+        }
+        for result in (a, b)
+    )
+    diff = {key: (fp_a[key], fp_b[key]) for key in fp_a if fp_a[key] != fp_b[key]}
+    return [f"{what}: {diff!r}"] if diff else []
 
 
-def check_case(
-    case: Dict[str, Any],
-    plan_axis: Optional[bool] = None,
-    native_axis: Optional[bool] = None,
-    native_chaos: Optional[bool] = None,
-    service_axis: Optional[bool] = None,
-    sketch_axis: Optional[bool] = None,
-) -> List[str]:
-    """Run the differential triad; return mismatch descriptions.
+def check_case(case: Dict[str, Any], axes: Optional[Sequence[str]] = None) -> List[str]:
+    """Run the differential triad, then every armed axis; return
+    mismatch descriptions.
 
-    ``plan_axis`` arms the plan-vs-legacy axis, ``native_axis`` the
-    sim-vs-native one, ``native_chaos`` the native-under-faults one,
-    ``service_axis`` the service-vs-standalone one, ``sketch_axis``
-    the approximate-vs-exact one; ``None`` (the default) reads the
-    case's own ``"plan_axis"``/``"native_axis"``/``"native_chaos"``/
-    ``"service_axis"``/``"sketch_axis"`` keys, so persisted repros
-    replay — and shrink — with their axes armed.
+    ``axes`` names the :data:`AXES` entries to arm; ``None`` (the
+    default) arms those whose name is a true key of the case itself,
+    so persisted repros replay — and shrink — with their axes armed.
     """
-    if plan_axis is None:
-        plan_axis = bool(case.get("plan_axis", False))
-    if native_axis is None:
-        native_axis = bool(case.get("native_axis", False))
-    if native_chaos is None:
-        native_chaos = bool(case.get("native_chaos", False))
-    if service_axis is None:
-        service_axis = bool(case.get("service_axis", False))
-    if sketch_axis is None:
-        sketch_axis = bool(case.get("sketch_axis", False))
     workload = case["workload"]
     backend_a, backend_b = case["backends"]
     try:
-        result_a = run_distributed(case, backend_a)
-    except InvariantViolation as violation:
-        return [f"invariant violation under backend {backend_a}: {violation}"]
-    mismatches: List[str] = []
-    if result_a.status is not JobStatus.OK:
-        return [f"distributed run did not complete: {result_a.status.value}"]
-    try:
-        result_b = run_distributed(case, backend_b)
-    except InvariantViolation as violation:
-        return [f"invariant violation under backend {backend_b}: {violation}"]
-    fp_a, fp_b = _fingerprint(result_a), _fingerprint(result_b)
-    if fp_a != fp_b:
-        diff = {
-            key: (fp_a[key], fp_b[key])
-            for key in fp_a
-            if fp_a[key] != fp_b[key]
-        }
-        mismatches.append(
-            f"backends {backend_a} vs {backend_b} diverged: {diff!r}"
-        )
-    oracle = run_oracle(case)
-    expected = normalize_value(workload, oracle.value)
+        result_a, result_b = [
+            completed(f"distributed run under {b}", lambda: run_sim(case, b))
+            for b in (backend_a, backend_b)
+        ]
+    except LegFailed as failed:
+        return [str(failed)]
+    mismatches = diverged(
+        f"backends {backend_a} vs {backend_b} diverged", result_a, result_b
+    )
+    expected = normalize_value(workload, run_oracle(case).value)
     observed = normalize_value(workload, result_a.value)
     if observed != expected:
         mismatches.append(
             f"G-Miner vs single-thread oracle on {workload}: "
             f"observed {observed!r}, expected {expected!r}"
         )
-    if plan_axis:
-        mismatches.extend(check_plan_axis(case, result_a.value))
-    if native_axis:
-        mismatches.extend(check_native_axis(case))
-    if native_chaos:
-        mismatches.extend(check_native_chaos_axis(case))
-    if service_axis:
-        mismatches.extend(check_service_axis(case))
-    if sketch_axis:
-        mismatches.extend(check_sketch_axis(case, result_a.value))
+    for axis in AXES:
+        if axis.name in axes if axes is not None else case.get(axis.name):
+            mismatches.extend(axis.check(case, result_a.value))
     return mismatches
 
 
 # ----------------------------------------------------------------------
-# the approximate-vs-exact (sketch) axis
+# the axes: check(case, exact_value) -> mismatch lines, where
+# exact_value is the triad's backend_a answer
 # ----------------------------------------------------------------------
 
 
-def sketch_settings_for_case(case: Dict[str, Any]) -> tuple:
-    """The case's seeded ``((epsilon, confidence), sketch_seed)``.
-
-    Derived deterministically from the case seed (so shrunk and
-    replayed cases exercise the identical sketches); a persisted repro
-    may pin either via explicit ``"accuracy"``/``"sketch_seed"`` keys.
-    """
-    rng = random.Random(case["seed"] * 6_271 + 13)
-    drawn_accuracy = rng.choice([(0.1, 0.9), (0.05, 0.95)])
-    drawn_seed = rng.randrange(1 << 16)
-    accuracy = case.get("accuracy")
-    if accuracy is None:
-        accuracy = drawn_accuracy
-    sketch_seed = case.get("sketch_seed")
-    if sketch_seed is None:
-        sketch_seed = drawn_seed
-    return (float(accuracy[0]), float(accuracy[1])), int(sketch_seed)
-
-
-def run_sketch_distributed(
-    case: Dict[str, Any], accuracy: tuple, sketch_seed: int
-):
-    """One sketch-backend G-Miner run with invariant checking armed."""
+def check_plan_axis(case: Dict[str, Any], exact_value: Any) -> List[str]:
+    """Differential-test the pattern plan compiler: the tailed-triangle
+    motif — and the workload's pattern-vocabulary equivalent when it
+    has one (tc, gm) — is compiled and run distributed under both
+    kernel backends with the case's config and failure plan; the runs
+    must agree with each other on the full fingerprint, with the
+    brute-force embedding oracle on the value, and with the legacy
+    grower's result where one exists."""
+    mismatches: List[str] = []
+    backend_a, backend_b = case["backends"]
     graph = graph_from_case(case)
-    config = GMinerConfig(
-        cluster=ClusterSpec(
-            num_nodes=case["num_nodes"], cores_per_node=case["cores_per_node"]
-        ),
-        verify=True,
-        kernel_backend="sketch",
-        accuracy=accuracy,
-        sketch_seed=sketch_seed,
-        **case["config"],
-    )
-    job = GMinerJob(_build_app(case, graph), graph, config, plan_from_case(case))
-    return job.run()
-
-
-def check_sketch_axis(case: Dict[str, Any], exact_value: Any) -> List[str]:
-    """The approximate run vs the exact one, per the estimate contract.
-
-    ``exact_value`` is the exact distributed run's answer (the triad's
-    ``backend_a`` leg).  tc is held to the bounded-error contract of
-    :mod:`repro.verify.approx`; cd and gc must match the exact value
-    outright (their attribute lists are shorter than any sketch's
-    capacity, so the threshold decisions are provably exact); both
-    must be bit-reproducible per sketch seed.  Exact-only workloads
-    assert the ``prepare_job`` gate instead.
-    """
-    from repro.plans.api import prepare_job
-    from repro.verify import approx
-
-    workload = case["workload"]
-    accuracy, sketch_seed = sketch_settings_for_case(case)
-    if workload not in approx.SKETCH_CAPABLE_WORKLOADS:
-        graph = graph_from_case(case)
+    equivalent = builtin_plan(case["workload"]).query()
+    for query in filter(None, (motif("tailed-triangle"), equivalent)):
+        tag = f"plan axis [{query.name}]"
         try:
-            prepare_job(graph, workload=workload, backend="sketch")
-        except ValueError:
-            return []
-        return [
-            f"sketch axis: exact-only workload {workload!r} was not "
-            "rejected by prepare_job(backend='sketch')"
-        ]
-    try:
-        result = run_sketch_distributed(case, accuracy, sketch_seed)
-    except InvariantViolation as violation:
-        return [f"sketch axis: invariant violation under sketch: {violation}"]
-    if result.status is not JobStatus.OK:
-        return [
-            f"sketch axis: sketch run did not complete: {result.status.value}"
-        ]
-    mismatches: List[str] = []
-    replayed = run_sketch_distributed(case, accuracy, sketch_seed)
-    fp, fp_replay = _fingerprint(result), _fingerprint(replayed)
-    if fp != fp_replay:
-        diff = {
-            key: (fp[key], fp_replay[key])
-            for key in fp
-            if fp[key] != fp_replay[key]
-        }
-        mismatches.append(
-            f"sketch axis: same-sketch-seed runs diverged (determinism "
-            f"contract): {diff!r}"
+            plan_a = completed(tag, lambda: run_sim(case, backend_a, pattern=query))
+            plan_b = completed(tag, lambda: run_sim(case, backend_b, pattern=query))
+        except LegFailed as failed:
+            mismatches.append(str(failed))
+            continue
+        mismatches += diverged(
+            f"{tag}: backends {backend_a} vs {backend_b} diverged", plan_a, plan_b
         )
-    if workload == "tc":
-        exact = exact_value if exact_value is not None else 0
-        if result.estimate is None and not result.value and not exact:
-            return mismatches  # degenerate zero-task case; nothing to bound
-        mismatches.extend(
-            approx.check_estimate(
-                f"sketch axis [tc eps={accuracy[0]} seed={sketch_seed}]",
-                exact,
-                result,
-            )
-        )
-    else:
-        expected = normalize_value(workload, exact_value)
-        observed = normalize_value(workload, result.value)
-        if observed != expected:
+        # a job with zero task results reports value None (the job-level
+        # convention shared with the legacy apps); as a count that is 0
+        plan_value = plan_a.value if plan_a.value is not None else 0
+        expected = count_embeddings_bruteforce(query, graph)
+        if plan_value != expected:
             mismatches.append(
-                f"sketch axis [{workload}]: threshold-certified workload "
-                f"diverged from the exact run: observed {observed!r}, "
-                f"expected {expected!r}"
+                f"{tag}: compiled plan counted "
+                f"{plan_value!r}, brute-force oracle says {expected!r}"
+            )
+        legacy_count = exact_value if exact_value is not None else 0
+        if query is equivalent and plan_value != legacy_count:
+            mismatches.append(
+                f"{tag}: compiled plan counted "
+                f"{plan_value!r}, legacy grower counted {legacy_count!r}"
             )
     return mismatches
-
-
-# ----------------------------------------------------------------------
-# the service-vs-standalone axis
-# ----------------------------------------------------------------------
-
-
-def check_service_axis(case: Dict[str, Any]) -> List[str]:
-    """Service-interleaved jobs vs the standalone ``repro.mine()`` run.
-
-    Three copies of the case's job — under case-seeded tenants and
-    priority classes, with a small slice and quantum so the scheduler
-    genuinely interleaves them — must each come back with the **full**
-    fingerprint of the standalone run: slicing a job's simulator must
-    be invisible to its result (DESIGN.md's service determinism
-    contract).  Two same-seed service epochs must also produce
-    byte-identical schedule logs.
-    """
-    from repro.plans.api import mine
-    from repro.service import MiningService, ServiceConfig
-
-    graph = graph_from_case(case)
-    workload = case["workload"]
-    backend_a, _ = case["backends"]
-    config = GMinerConfig(
-        cluster=ClusterSpec(
-            num_nodes=case["num_nodes"], cores_per_node=case["cores_per_node"]
-        ),
-        verify=True,
-        kernel_backend=backend_a,
-        **case["config"],
-    )
-    rng = random.Random(case["seed"] * 9_176 + 11)
-    submissions = [
-        (rng.choice(["gold", "silver"]), rng.choice(["high", "normal", "low"]))
-        for _ in range(3)
-    ]
-
-    def run_epoch():
-        service = MiningService(
-            ServiceConfig(
-                slice_seconds=0.02,
-                quantum_work_units=20.0,
-                tenant_weights={"gold": 2.0},
-            )
-        )
-        handles = [
-            service.submit(
-                graph,
-                workload=workload,
-                config=config,
-                failure_plan=plan_from_case(case),
-                tenant=tenant,
-                priority=priority,
-                name=f"svc-{i}",
-            )
-            for i, (tenant, priority) in enumerate(submissions)
-        ]
-        service.run_until_idle()
-        return service, handles
-
-    mismatches: List[str] = []
-    try:
-        service, handles = run_epoch()
-        results = [service.result(h) for h in handles]
-    except Exception as error:  # InvariantViolation included
-        return [f"service axis: epoch raised {type(error).__name__}: {error}"]
-    solo = mine(
-        graph, workload=workload, config=config, failure_plan=plan_from_case(case)
-    )
-    fp_solo = _fingerprint(solo)
-    for handle, result in zip(handles, results):
-        fp_svc = _fingerprint(result)
-        if fp_svc != fp_solo:
-            diff = {
-                key: (fp_svc[key], fp_solo[key])
-                for key in fp_svc
-                if fp_svc[key] != fp_solo[key]
-            }
-            mismatches.append(
-                f"service axis [{handle.name}]: service result diverged "
-                f"from standalone mine(): {diff!r}"
-            )
-    replay_service, _ = run_epoch()
-    if replay_service.schedule_log != service.schedule_log:
-        mismatches.append(
-            "service axis: same-seed epochs produced different schedule "
-            f"logs ({len(service.schedule_log)} vs "
-            f"{len(replay_service.schedule_log)} entries)"
-        )
-    return mismatches
-
-
-# ----------------------------------------------------------------------
-# the sim-vs-native axis
-# ----------------------------------------------------------------------
 
 
 def fault_free_case(case: Dict[str, Any]) -> Dict[str, Any]:
@@ -578,145 +370,78 @@ def fault_free_case(case: Dict[str, Any]) -> Dict[str, Any]:
     simulated leg of the sim-vs-native comparison must run fault-free
     too — recovered runs re-execute tasks and over-count work.
     """
-    pure = dict(case)
-    pure["failure_plan"] = None
-    pure["config"] = {
-        k: v for k, v in case["config"].items() if k != "checkpoint_interval"
-    }
-    return pure
+    config = {k: v for k, v in case["config"].items() if k != "checkpoint_interval"}
+    return dict(case, failure_plan=None, config=config)
 
 
-def run_native_case(case: Dict[str, Any], workers: int, backend: str):
-    """One native-engine run of the case's workload."""
-    graph = graph_from_case(case)
-    # chunk_size 16 so even the fuzzer's small graphs split into
-    # enough chunks that workers=2 genuinely exercises the pool
-    config = GMinerConfig(
-        execution="native",
-        native_workers=workers,
-        native_chunk_size=16,
-        kernel_backend=backend,
-    )
-    job = GMinerJob(_build_app(case, graph), graph, config)
-    return job.run()
+def native_vs_sim(axis: str, pure: Dict[str, Any], native, pattern=None) -> List[str]:
+    """Run ``pure``'s simulated leg — its workload, or the compiled
+    ``pattern`` — and hold ``native`` to the equivalence contract
+    against it: the comparison both native axes share.
 
-
-def _native_vs_sim(tag: str, sim, native, workload: Optional[str]) -> List[str]:
-    """The equivalence-contract comparison for one sim/native pair.
-
-    ``workload=None`` means a compiled plan (schedule-independent by
-    construction); ``"mcf"`` is the one schedule-*dependent* workload —
-    its branch-and-bound pruning feeds on the evolving global bound, so
-    only the answer and the aggregated bound are required to agree.
+    A compiled plan is schedule-independent by construction; mcf is
+    the one schedule-*dependent* workload — its branch-and-bound
+    pruning feeds on the evolving global bound, so only the answer and
+    the aggregated bound are required to agree.
     """
-    mismatches: List[str] = []
-    if workload is not None:
-        sim_value = normalize_value(workload, sim.value)
-        native_value = normalize_value(workload, native.value)
-    else:
-        sim_value, native_value = sim.value, native.value
-    if sim_value != native_value:
-        mismatches.append(
-            f"{tag}: sim value {sim_value!r} != native value {native_value!r}"
-        )
-    if sim.aggregated != native.aggregated:
-        mismatches.append(
-            f"{tag}: sim aggregated {sim.aggregated!r} != "
-            f"native aggregated {native.aggregated!r}"
-        )
-    if workload == "mcf":
-        return mismatches
-    if sim.num_results != native.num_results:
-        mismatches.append(
-            f"{tag}: sim num_results {sim.num_results} != "
-            f"native {native.num_results}"
-        )
-    if sim.stats.get("tasks_created") != native.stats.get("tasks_created"):
-        mismatches.append(
-            f"{tag}: sim tasks_created {sim.stats.get('tasks_created')!r} != "
-            f"native {native.stats.get('tasks_created')!r}"
-        )
-    # each simulated cache re-pull charges one extra work unit the
-    # native engine (full graph access, no cache) can never incur
-    if sim.stats.get("re_pulls", 0) == 0 and (
-        sim.stats.get("work_units") != native.stats.get("work_units")
-    ):
-        mismatches.append(
-            f"{tag}: sim work_units {sim.stats.get('work_units')!r} != "
-            f"native {native.stats.get('work_units')!r}"
-        )
-    return mismatches
-
-
-def check_native_axis(case: Dict[str, Any]) -> List[str]:
-    """Native vs itself across worker counts *and* backends, then
-    native vs the fault-free simulated run, for the legacy workload and
-    a compiled tailed-triangle plan."""
-    mismatches: List[str] = []
-    pure = fault_free_case(case)
-    workload = case["workload"]
-    backend_a, backend_b = case["backends"]
-    native_1 = run_native_case(pure, 1, backend_a)
-    native_2 = run_native_case(pure, 2, backend_b)
-    fp_1, fp_2 = _fingerprint(native_1), _fingerprint(native_2)
-    if fp_1 != fp_2:
-        diff = {
-            key: (fp_1[key], fp_2[key]) for key in fp_1 if fp_1[key] != fp_2[key]
-        }
-        mismatches.append(
-            f"native axis: workers=1/{backend_a} vs workers=2/{backend_b} "
-            f"diverged: {diff!r}"
-        )
+    workload = pure["workload"] if pattern is None else None
+    tag = f"{axis} [{workload or 'plan:' + pattern.name}]"
     try:
-        sim = run_distributed(pure, backend_a)
-    except InvariantViolation as violation:
-        mismatches.append(f"native axis: sim leg invariant violation: {violation}")
-        return mismatches
-    if sim.status is not JobStatus.OK:
-        mismatches.append(
-            f"native axis: sim leg did not complete: {sim.status.value}"
+        sim = completed(
+            f"{tag}: sim leg",
+            lambda: run_sim(pure, pure["backends"][0], pattern=pattern),
         )
-        return mismatches
-    mismatches.extend(
-        _native_vs_sim(f"native axis [{workload}]", sim, native_1, workload)
+    except LegFailed as failed:
+        return [str(failed)]
+    norm = (lambda v: normalize_value(workload, v)) if workload else (lambda v: v)
+    pairs = [
+        ("value", norm(sim.value), norm(native.value)),
+        ("aggregated", sim.aggregated, native.aggregated),
+    ]
+    if workload != "mcf":
+        pairs.append(("num_results", sim.num_results, native.num_results))
+        counters = ["tasks_created"]
+        # each simulated cache re-pull charges one extra work unit the
+        # native engine (full graph access, no cache) can never incur
+        if sim.stats.get("re_pulls", 0) == 0:
+            counters.append("work_units")
+        pairs.extend((c, sim.stats.get(c), native.stats.get(c)) for c in counters)
+    return [
+        f"{tag}: sim {name} {in_sim!r} != native {name} {in_native!r}"
+        for name, in_sim, in_native in pairs
+        if in_sim != in_native
+    ]
+
+
+def check_native_axis(case: Dict[str, Any], exact_value: Any) -> List[str]:
+    """Differential-test the native multiprocess engine on the case's
+    fault-free twin (native mode refuses chaos schedules): worker
+    counts 1 and 2 — under different kernel backends — must agree on
+    the full result fingerprint, and the native run must match the
+    simulated one per DESIGN.md's equivalence contract (value and
+    aggregated always; raw value, num_results, tasks_created for every
+    schedule-independent workload; work_units additionally when the
+    simulated cache never re-pulled; mcf on answer and aggregated
+    bound only).  A compiled tailed-triangle plan rides the same
+    native-vs-sim check."""
+    pure = fault_free_case(case)
+    backend_a, backend_b = case["backends"]
+    native_1 = run_native(pure, backend_a, 1)
+    native_2 = run_native(pure, backend_b, 2)
+    mismatches = diverged(
+        f"native axis: workers=1/{backend_a} vs workers=2/{backend_b} diverged",
+        native_1,
+        native_2,
     )
-    query = motif("tailed-triangle")
-    graph = graph_from_case(pure)
+    mismatches.extend(native_vs_sim("native axis", pure, native_1))
     # the plan leg runs under the case's cluster shape but default
     # cache knobs: pathologically tight capacities make the simulated
     # cache thrash for minutes on multi-round plans (a simulator
     # performance cliff, not a correctness axis worth fuzzing here)
-    sim_config = GMinerConfig(
-        cluster=ClusterSpec(
-            num_nodes=case["num_nodes"], cores_per_node=case["cores_per_node"]
-        ),
-        verify=True,
-        kernel_backend=backend_a,
-    )
-    plan_sim = GMinerJob(
-        PlanApp(compile_pattern(query)), graph, sim_config
-    ).run()
-    plan_config = GMinerConfig(
-        execution="native",
-        native_workers=2,
-        native_chunk_size=16,
-        kernel_backend=backend_a,
-    )
-    plan_native = GMinerJob(
-        PlanApp(compile_pattern(query)), graph, plan_config
-    ).run()
-    if plan_sim.status is JobStatus.OK:
-        mismatches.extend(
-            _native_vs_sim(
-                "native axis [plan:tailed-triangle]", plan_sim, plan_native, None
-            )
-        )
-    return mismatches
-
-
-# ----------------------------------------------------------------------
-# the native-chaos axis
-# ----------------------------------------------------------------------
+    roomy = dict(pure, config={})
+    query = motif("tailed-triangle")
+    plan_native = run_native(roomy, backend_a, 2, pattern=query)
+    return mismatches + native_vs_sim("native axis", roomy, plan_native, pattern=query)
 
 
 def chaos_plan_for_case(case: Dict[str, Any]) -> NativeFaultPlan:
@@ -749,163 +474,216 @@ def chaos_plan_for_case(case: Dict[str, Any]) -> NativeFaultPlan:
     return plan
 
 
-def run_native_chaos_case(case: Dict[str, Any], backend: str):
-    """One supervised native run under the case's seeded fault plan."""
-    graph = graph_from_case(case)
-    config = GMinerConfig(
-        execution="native",
-        native_workers=2,
-        native_chunk_size=16,
-        kernel_backend=backend,
-        # a tight lease so until-terminated hangs resolve in fuzz time,
-        # and budgets that provably cover chaos_plan_for_case's worst
-        # case (two targeted deaths, <=2 injected failures per chunk)
-        native_chunk_deadline=0.5,
-        native_max_chunk_retries=10,
-        native_max_respawns=2,
-    )
-    job = GMinerJob(_build_app(case, graph), graph, config, chaos_plan_for_case(case))
-    return job.run()
-
-
-def check_native_chaos_axis(case: Dict[str, Any]) -> List[str]:
-    """Native-under-faults vs fault-free native vs the simulator.
-
-    The determinism-under-crashes contract: a survivable fault
-    schedule must be *invisible* in the result — full fingerprint
-    (value, ``num_results``, every stats entry) identical to the
-    fault-free native run — and must never raise or hang.  The
-    fault-free native leg is additionally held to the sim equivalence
-    contract so the whole triangle closes.
-    """
-    mismatches: List[str] = []
+def check_native_chaos_axis(case: Dict[str, Any], exact_value: Any) -> List[str]:
+    """Run the native engine under a seeded survivable NativeFaultPlan
+    (worker crashes, hangs, stragglers, transient chunk errors —
+    derived from the case seed, bounded so the supervisor's retry and
+    respawn budgets always cover it): the chaotic run must match the
+    fault-free native run on the full fingerprint (value, num_results,
+    every stats entry — the determinism-under-crashes contract) and on
+    the aggregated value, must never raise or hang, and the fault-free
+    native leg must match the simulator per the equivalence contract
+    so the whole triangle closes."""
     pure = fault_free_case(case)
-    workload = case["workload"]
     backend_a, _ = case["backends"]
-    clean = run_native_case(pure, 2, backend_a)
+    clean = run_native(pure, backend_a, 2)
     try:
-        chaotic = run_native_chaos_case(pure, backend_a)
+        chaotic = run_native(
+            pure,
+            backend_a,
+            2,
+            failure_plan=chaos_plan_for_case(pure),
+            # a tight lease so until-terminated hangs resolve in fuzz
+            # time, and budgets that provably cover
+            # chaos_plan_for_case's worst case (two targeted deaths,
+            # <=2 injected failures per chunk)
+            native_chunk_deadline=0.5,
+            native_max_chunk_retries=10,
+            native_max_respawns=2,
+        )
     except NativeChunkError as error:
         return [
             f"native chaos axis: survivable schedule was not survived: {error}"
         ]
-    fp_clean, fp_chaotic = _fingerprint(clean), _fingerprint(chaotic)
-    if fp_clean != fp_chaotic:
-        diff = {
-            key: (fp_clean[key], fp_chaotic[key])
-            for key in fp_clean
-            if fp_clean[key] != fp_chaotic[key]
-        }
-        mismatches.append(
-            f"native chaos axis: chaotic run diverged from fault-free "
-            f"native run: {diff!r}"
-        )
+    mismatches = diverged(
+        "native chaos axis: chaotic run diverged from fault-free native run",
+        clean,
+        chaotic,
+    )
     if clean.aggregated != chaotic.aggregated:
         mismatches.append(
             f"native chaos axis: aggregated {clean.aggregated!r} != "
             f"{chaotic.aggregated!r} under faults"
         )
+    return mismatches + native_vs_sim("native chaos axis", pure, clean)
+
+
+def check_service_axis(case: Dict[str, Any], exact_value: Any) -> List[str]:
+    """Submit each case through a MiningService: three copies of the
+    case's job under case-seeded tenants and priority classes — with a
+    small slice and quantum so the deficit-round-robin scheduler
+    genuinely interleaves them — plus the same job standalone via
+    repro.mine().  Every service result must match the standalone run
+    on the full fingerprint (value, num_results, the entire simulated
+    timeline: slicing a job's simulator must be invisible to its
+    result), and two same-seed service epochs must produce
+    byte-identical schedule logs."""
+    graph = graph_from_case(case)
+    # the same arguments on both paths; a failure plan is per-job state
+    job = dict(workload=case["workload"], config=sim_config(case, case["backends"][0]))
+    rng = random.Random(case["seed"] * 9_176 + 11)
+    submissions = [
+        (rng.choice(["gold", "silver"]), rng.choice(["high", "normal", "low"]))
+        for _ in range(3)
+    ]
+
+    def run_epoch():
+        service = MiningService(
+            ServiceConfig(
+                slice_seconds=0.02,
+                quantum_work_units=20.0,
+                tenant_weights={"gold": 2.0},
+            )
+        )
+        handles = [
+            service.submit(
+                graph,
+                **job,
+                failure_plan=plan_from_case(case),
+                tenant=tenant,
+                priority=priority,
+                name=f"svc-{i}",
+            )
+            for i, (tenant, priority) in enumerate(submissions)
+        ]
+        service.run_until_idle()
+        return service, handles
+
     try:
-        sim = run_distributed(pure, backend_a)
-    except InvariantViolation as violation:
-        mismatches.append(
-            f"native chaos axis: sim leg invariant violation: {violation}"
-        )
-        return mismatches
-    if sim.status is not JobStatus.OK:
-        mismatches.append(
-            f"native chaos axis: sim leg did not complete: {sim.status.value}"
-        )
-        return mismatches
-    mismatches.extend(
-        _native_vs_sim(f"native chaos axis [{workload}]", sim, clean, workload)
-    )
-    return mismatches
-
-
-# ----------------------------------------------------------------------
-# the plan-vs-legacy axis
-# ----------------------------------------------------------------------
-
-
-def plan_queries_for_case(case: Dict[str, Any]) -> List[tuple]:
-    """The compiled queries a case exercises: the tailed-triangle motif
-    always, plus the workload's pattern-vocabulary equivalent when it
-    has one.  Returns ``(name, query, compare_with_legacy)`` triples.
-    """
-    queries = [("tailed-triangle", motif("tailed-triangle"), False)]
-    workload = case["workload"]
-    if workload == "tc":
-        queries.append(("triangle", motif("triangle"), True))
-    if workload == "gm":
-        queries.append(
-            ("gm-pattern", PatternQuery.from_tree(PAPER_PATTERN, "gm"), True)
-        )
-    return queries
-
-
-def run_plan_distributed(case: Dict[str, Any], query, backend: str):
-    """One compiled-plan G-Miner run under ``backend``."""
-    graph = graph_from_case(case)
-    config = GMinerConfig(
-        cluster=ClusterSpec(
-            num_nodes=case["num_nodes"], cores_per_node=case["cores_per_node"]
-        ),
-        verify=True,
-        kernel_backend=backend,
-        **case["config"],
-    )
-    app = PlanApp(compile_pattern(query))
-    job = GMinerJob(app, graph, config, plan_from_case(case))
-    return job.run()
-
-
-def check_plan_axis(case: Dict[str, Any], legacy_value: Any) -> List[str]:
-    """Compiled plans vs backends vs brute force vs the legacy grower."""
+        service, handles = run_epoch()
+        results = [service.result(h) for h in handles]
+    except Exception as error:  # InvariantViolation included
+        return [f"service axis: epoch raised {type(error).__name__}: {error}"]
+    solo = mine(graph, **job, failure_plan=plan_from_case(case))
     mismatches: List[str] = []
-    backend_a, backend_b = case["backends"]
-    graph = graph_from_case(case)
-    for name, query, compare_with_legacy in plan_queries_for_case(case):
+    for handle, result in zip(handles, results):
+        mismatches.extend(
+            diverged(
+                f"service axis [{handle.name}]: service result diverged "
+                "from standalone mine()",
+                result,
+                solo,
+            )
+        )
+    replay_service, _ = run_epoch()
+    if replay_service.schedule_log != service.schedule_log:
+        mismatches.append(
+            "service axis: same-seed epochs produced different schedule "
+            f"logs ({len(service.schedule_log)} vs "
+            f"{len(replay_service.schedule_log)} entries)"
+        )
+    return mismatches
+
+
+def sketch_settings_for_case(case: Dict[str, Any]) -> tuple:
+    """The case's seeded ``((epsilon, confidence), sketch_seed)``.
+
+    Derived deterministically from the case seed (so shrunk and
+    replayed cases exercise the identical sketches); a persisted repro
+    may pin either via explicit ``"accuracy"``/``"sketch_seed"`` keys.
+    """
+    rng = random.Random(case["seed"] * 6_271 + 13)
+    drawn_accuracy = rng.choice([(0.1, 0.9), (0.05, 0.95)])
+    drawn_seed = rng.randrange(1 << 16)
+    accuracy = case.get("accuracy")
+    if accuracy is None:
+        accuracy = drawn_accuracy
+    sketch_seed = case.get("sketch_seed")
+    if sketch_seed is None:
+        sketch_seed = drawn_seed
+    return (float(accuracy[0]), float(accuracy[1])), int(sketch_seed)
+
+
+def check_sketch_axis(case: Dict[str, Any], exact_value: Any) -> List[str]:
+    """Run estimate-capable cases (tc, cd, gc) under the probabilistic
+    sketch kernel backend with a case-seeded accuracy knob and sketch
+    seed: a tc estimate must fall within the error bound the run itself
+    stated (its confidence interval and epsilon, widened by a
+    deterministic slack — see repro.verify.approx) and JobResult.value
+    must be the rounded estimate point; cd and gc must match the exact
+    run outright (their attribute lists are shorter than any sketch's
+    capacity, so the threshold decisions are provably exact); two
+    same-sketch-seed runs must agree on the full fingerprint
+    (bit-reproducibility).  Exact-only workloads instead assert that
+    the prepare_job gate rejects backend="sketch"."""
+    workload = case["workload"]
+    accuracy, sketch_seed = sketch_settings_for_case(case)
+    if workload not in approx.SKETCH_CAPABLE_WORKLOADS:
         try:
-            plan_a = run_plan_distributed(case, query, backend_a)
-            plan_b = run_plan_distributed(case, query, backend_b)
-        except InvariantViolation as violation:
-            mismatches.append(
-                f"plan axis [{name}]: invariant violation: {violation}"
+            prepare_job(graph_from_case(case), workload=workload, backend="sketch")
+        except ValueError:
+            return []
+        return [
+            f"sketch axis: exact-only workload {workload!r} was not "
+            "rejected by prepare_job(backend='sketch')"
+        ]
+
+    def sketch_run():
+        return run_sim(case, "sketch", accuracy=accuracy, sketch_seed=sketch_seed)
+
+    try:
+        result = completed("sketch axis: sketch run", sketch_run)
+        replayed = completed("sketch axis: same-seed rerun", sketch_run)
+    except LegFailed as failed:
+        return [str(failed)]
+    mismatches = diverged(
+        "sketch axis: same-sketch-seed runs diverged (determinism contract)",
+        result,
+        replayed,
+    )
+    if workload == "tc":
+        exact = exact_value if exact_value is not None else 0
+        if result.estimate is None and not result.value and not exact:
+            return mismatches  # degenerate zero-task case; nothing to bound
+        mismatches.extend(
+            approx.check_estimate(
+                f"sketch axis [tc eps={accuracy[0]} seed={sketch_seed}]",
+                exact,
+                result,
             )
-            continue
-        if plan_a.status is not JobStatus.OK:
+        )
+    else:
+        expected = normalize_value(workload, exact_value)
+        observed = normalize_value(workload, result.value)
+        if observed != expected:
             mismatches.append(
-                f"plan axis [{name}] did not complete: {plan_a.status.value}"
-            )
-            continue
-        fp_a, fp_b = _fingerprint(plan_a), _fingerprint(plan_b)
-        if fp_a != fp_b:
-            diff = {
-                key: (fp_a[key], fp_b[key])
-                for key in fp_a
-                if fp_a[key] != fp_b[key]
-            }
-            mismatches.append(
-                f"plan axis [{name}]: backends {backend_a} vs {backend_b} "
-                f"diverged: {diff!r}"
-            )
-        # a job with zero task results reports value None (the job-level
-        # convention shared with the legacy apps); as a count that is 0
-        plan_value = plan_a.value if plan_a.value is not None else 0
-        expected = count_embeddings_bruteforce(query, graph)
-        if plan_value != expected:
-            mismatches.append(
-                f"plan axis [{name}]: compiled plan counted "
-                f"{plan_value!r}, brute-force oracle says {expected!r}"
-            )
-        legacy_count = legacy_value if legacy_value is not None else 0
-        if compare_with_legacy and plan_value != legacy_count:
-            mismatches.append(
-                f"plan axis [{name}]: compiled plan counted "
-                f"{plan_value!r}, legacy grower counted {legacy_count!r}"
+                f"sketch axis [{workload}]: threshold-certified workload "
+                f"diverged from the exact run: observed {observed!r}, "
+                f"expected {expected!r}"
             )
     return mismatches
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One differential contract beyond the triad.
+
+    ``name`` is the case key that arms the axis in a persisted repro
+    and, with ``_`` as ``-``, its CLI flag; ``check(case, exact_value)``
+    returns mismatch lines and its docstring is the ``--help`` text.
+    """
+
+    name: str
+    check: Callable[[Dict[str, Any], Any], List[str]]
+
+
+AXES = (
+    Axis("plan_axis", check_plan_axis),
+    Axis("native_axis", check_native_axis),
+    Axis("native_chaos", check_native_chaos_axis),
+    Axis("service_axis", check_service_axis),
+    Axis("sketch_axis", check_sketch_axis),
+)
 
 
 # ----------------------------------------------------------------------
@@ -959,11 +737,7 @@ def shrink_case(case: Dict[str, Any], max_checks: int = 400) -> Dict[str, Any]:
                 index += chunk
         chunk //= 2
     if best.get("failure_plan") is not None:
-        candidate = dict(best)
-        candidate["failure_plan"] = None
-        candidate["config"] = {
-            k: v for k, v in best["config"].items() if k != "checkpoint_interval"
-        }
+        candidate = fault_free_case(best)
         if still_fails(candidate):
             best = candidate
     for knob in sorted(best["config"]):
@@ -1025,40 +799,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-shrink", action="store_true",
         help="report mismatches without delta-debugging them",
     )
-    parser.add_argument(
-        "--plan-axis", action="store_true",
-        help="also differential-test the pattern plan compiler "
-             "(plan-vs-legacy, plan-vs-brute-force, plan-vs-backends)",
-    )
-    parser.add_argument(
-        "--native-axis", action="store_true",
-        help="also differential-test the native multiprocess engine "
-             "(native-vs-native across worker counts and backends, "
-             "native-vs-sim per the equivalence contract)",
-    )
-    parser.add_argument(
-        "--native-chaos", action="store_true",
-        help="also run the native engine under a seeded survivable "
-             "NativeFaultPlan (crashes, hangs, transient chunk errors): "
-             "the chaotic run must match the fault-free native run on "
-             "the full fingerprint and never raise or hang",
-    )
-    parser.add_argument(
-        "--service-axis", action="store_true",
-        help="also submit each case through a MiningService (three "
-             "seeded tenant/priority copies, interleaved by the fair "
-             "scheduler) and require every result to match the "
-             "standalone repro.mine() run on the full fingerprint, "
-             "with byte-identical schedule logs across same-seed runs",
-    )
-    parser.add_argument(
-        "--sketch-axis", action="store_true",
-        help="also run estimate-capable cases (tc, cd, gc) under the "
-             "probabilistic sketch kernel backend with case-seeded "
-             "accuracy/sketch-seed: estimates must respect their own "
-             "stated error bounds, sketch runs must be bit-reproducible "
-             "per seed, and exact-only workloads must be rejected",
-    )
+    for axis in AXES:
+        parser.add_argument(
+            "--" + axis.name.replace("_", "-"),
+            action="store_true",
+            help="also: " + " ".join(axis.check.__doc__.split()),
+        )
     args = parser.parse_args(argv)
     if args.replay:
         return replay(args.replay)
@@ -1067,19 +813,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for iteration in range(args.iterations):
         case_seed = args.seed * 1_000_003 + iteration
         case = generate_case(case_seed)
-        if args.plan_axis:
-            # recorded on the case so shrinking and replay keep the axis
-            case["plan_axis"] = True
-        if args.native_axis:
-            case["native_axis"] = True
-        if args.native_chaos:
-            # like the other axes: recorded on the case itself so the
-            # shrinker's dict copies and --replay keep the chaos armed
-            case["native_chaos"] = True
-        if args.service_axis:
-            case["service_axis"] = True
-        if args.sketch_axis:
-            case["sketch_axis"] = True
+        for axis in AXES:
+            if getattr(args, axis.name):
+                # recorded on the case itself so the shrinker's dict
+                # copies and --replay keep the axis armed
+                case[axis.name] = True
         mismatches = check_case(case)
         tag = (
             f"[{iteration + 1}/{args.iterations}] seed={case_seed} "

@@ -54,7 +54,7 @@ class TestConfig:
         """The knob audit: a field nothing reads is dead weight on every
         config, and a new one must come with the code that consumes it."""
         names = [f.name for f in dataclasses.fields(GMinerConfig)]
-        assert len(names) == 41
+        assert len(names) == 35
         root = pathlib.Path(repro.__file__).parent
         config_py = root / "core" / "config.py"
         sources = [

@@ -13,7 +13,7 @@ import pytest
 
 from repro.apps import TriangleCountingApp
 from repro.core import GMinerConfig, GMinerJob, JobStatus
-from repro.core.master import Master
+from repro.core.master import HEARTBEAT_INTERVAL, SUSPECT_TIMEOUT, Master
 from repro.core.messages import Heartbeat, ProgressReport, StealRequest
 from repro.graph.algorithms import triangle_count_exact
 from repro.sim.cluster import ClusterSpec, build_cluster
@@ -52,11 +52,11 @@ class TestHeartbeatDetection:
 
         suspected = first_instant("worker.suspected")
         confirmed = first_instant("worker.confirmed_down")
-        tick = config.heartbeat_interval
-        assert kill_at + config.suspect_timeout <= suspected
-        assert suspected <= kill_at + config.suspect_timeout + 2 * tick
-        assert kill_at + 2 * config.suspect_timeout <= confirmed
-        assert confirmed <= kill_at + 2 * config.suspect_timeout + 2 * tick
+        tick = HEARTBEAT_INTERVAL
+        assert kill_at + SUSPECT_TIMEOUT <= suspected
+        assert suspected <= kill_at + SUSPECT_TIMEOUT + 2 * tick
+        assert kill_at + 2 * SUSPECT_TIMEOUT <= confirmed
+        assert confirmed <= kill_at + 2 * SUSPECT_TIMEOUT + 2 * tick
         assert suspected < confirmed
 
     def test_fast_reboot_detected_via_incarnation(self, small_social_graph):

@@ -7,7 +7,10 @@ case.  Plus: clean runs find nothing, repro files round-trip through
 ``--replay``, and case generation is deterministic.
 """
 
+import dataclasses
+import itertools
 import json
+import pathlib
 
 import pytest
 
@@ -43,6 +46,17 @@ def planted_divergence(monkeypatch):
             self.result += 1
 
     monkeypatch.setattr(TCTask, "update", tampered)
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def roomy_tc_case(**armed):
+    """The first tc case without its tight-cache knob (with it, the
+    plan legs livelock: TestTimeCap), with the given axes armed."""
+    case = fuzz.generate_case(TC_SEED)
+    case["config"].pop("cache_capacity_bytes", None)
+    return {**case, **armed}
 
 
 class TestCaseGeneration:
@@ -156,7 +170,7 @@ class TestNativeAxis:
 
         monkeypatch.setattr(repro.native, "run_native", tampered)
         case = fuzz.generate_case(TC_SEED)
-        mismatches = fuzz.check_native_axis(case)
+        mismatches = fuzz.check_native_axis(case, None)
         assert any("native" in m for m in mismatches)
 
     def test_cli_native_axis_smoke(self, tmp_path, capsys):
@@ -166,6 +180,131 @@ class TestNativeAxis:
         ])
         assert rc == 0
         assert "2 case(s), 0 failure(s)" in capsys.readouterr().out
+
+
+class TestPlanAxis:
+    def test_detects_miscounting_plan_executor(self, monkeypatch):
+        """A bug only compiled plans have: the legacy grower and the
+        triad stay right, the brute-force embedding oracle tells."""
+        from repro.plans import PlanApp
+
+        original = PlanApp.combine_results
+        monkeypatch.setattr(
+            PlanApp, "combine_results",
+            lambda self, results: original(self, results) + 1,
+        )
+        mismatches = fuzz.check_case(roomy_tc_case(plan_axis=True))
+        assert any("brute-force oracle says" in m for m in mismatches)
+
+
+class TestNativeChaosAxis:
+    def test_detects_unsurvived_schedule(self, monkeypatch):
+        """A chunk that fails more often than the retry budget covers
+        must surface as a mismatch, not as a crash of the fuzzer."""
+        from repro.native import NativeFaultPlan
+
+        monkeypatch.setattr(
+            fuzz, "chaos_plan_for_case",
+            lambda case: NativeFaultPlan(seed=0).flaky_chunk(0, failures=50),
+        )
+        mismatches = fuzz.check_case(roomy_tc_case(native_chaos=True))
+        assert any(
+            "survivable schedule was not survived" in m for m in mismatches
+        )
+
+
+class TestServiceAxis:
+    def test_detects_result_tampering(self, monkeypatch):
+        """A service that hands back anything but the job's own result
+        diverges from standalone mine() on every copy."""
+        from repro.service import MiningService
+
+        original = MiningService.result
+
+        def tampered(self, handle, drive=True):
+            result = original(self, handle, drive)
+            return dataclasses.replace(result, num_results=result.num_results + 1)
+
+        monkeypatch.setattr(MiningService, "result", tampered)
+        mismatches = fuzz.check_case(roomy_tc_case(service_axis=True))
+        hits = [m for m in mismatches if "diverged from standalone mine()" in m]
+        assert len(hits) == 3
+
+    def test_detects_nondeterministic_schedule_log(self, monkeypatch):
+        """Anything process-global leaking into the schedule log breaks
+        the same-seed-epochs-are-byte-identical contract."""
+        from repro.service import MiningService
+
+        original = MiningService._log
+        leak = itertools.count()
+
+        def leaky(self, kind, *fields):
+            original(self, kind, *fields, next(leak))
+
+        monkeypatch.setattr(MiningService, "_log", leaky)
+        mismatches = fuzz.check_case(roomy_tc_case(service_axis=True))
+        assert any("different schedule logs" in m for m in mismatches)
+
+
+class TestAxisRegistry:
+    def test_every_axis_documents_itself_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            fuzz.main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for axis in fuzz.AXES:
+            assert axis.check.__doc__, axis.name
+            assert "--" + axis.name.replace("_", "-") in text
+            # argparse re-wraps at hyphens too; compare without spaces
+            stated = "".join(axis.check.__doc__.split())
+            assert stated in text.replace(" ", ""), axis.name
+
+    def test_docs_table_states_each_contract_once(self):
+        """docs/testing.md tabulates AXES: the row text is the docstring."""
+        doc = (DATA.parent.parent / "docs" / "testing.md").read_text(encoding="utf-8")
+        doc = " ".join(doc.split())
+        for axis in fuzz.AXES:
+            assert doc.count(" ".join(axis.check.__doc__.split())) == 1, axis.name
+
+    def test_parent_repro_replays_with_its_axis_armed(self, monkeypatch):
+        """A ``repro.verify.fuzz/1`` file written before AXES existed
+        still arms the axis its ``"native_axis": true`` key names."""
+        case = json.loads((DATA / "fuzz-repro-native-axis-pr22.json").read_text())
+        assert case["schema"] == fuzz.SCHEMA and case["native_axis"] is True
+        armed = []
+        monkeypatch.setattr(
+            fuzz, "AXES",
+            tuple(
+                fuzz.Axis(a.name, lambda case, exact, n=a.name: armed.append(n) or [])
+                for a in fuzz.AXES
+            ),
+        )
+        assert fuzz.check_case(case) == []
+        assert armed == ["native_axis"]
+        armed.clear()
+        assert fuzz.check_case(case, axes=["sketch_axis", "plan_axis"]) == []
+        assert armed == ["plan_axis", "sketch_axis"]
+
+
+class TestTimeCap:
+    def test_livelocked_leg_is_a_reported_timeout(self, monkeypatch):
+        """The repro's plan leg never finishes; the cap turns that into
+        a mismatch line (a short cap here: the verdict is the same)."""
+        monkeypatch.setattr(fuzz, "SIM_TIME_CAP", 0.5)
+        case = json.loads((DATA / "fuzz-repro-plan-livelock.json").read_text())
+        mismatches = fuzz.check_case(case)
+        assert mismatches == [
+            "plan axis [tailed-triangle] did not complete: timeout"
+        ]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: the tailed-triangle plan livelocks under "
+        "a tight fifo/lru cache (re-pulls grow without bound)",
+    )
+    def test_livelock_repro_is_fixed(self, monkeypatch):
+        monkeypatch.setattr(fuzz, "SIM_TIME_CAP", 0.5)
+        case = json.loads((DATA / "fuzz-repro-plan-livelock.json").read_text())
+        assert fuzz.check_case(case) == []
 
 
 class TestSketchAxis:
@@ -224,12 +363,12 @@ class TestSketchAxis:
         from repro.kernels import sketch as sketch_mod
 
         original = sketch_mod.intersect_count_many_estimate
-        real_run = fuzz.run_sketch_distributed
+        real_run = fuzz.run_sim
         state = {"run": 0}
 
-        def counting_run(case, accuracy, sketch_seed):
+        def counting_run(case, backend, **config):
             state["run"] += 1
-            return real_run(case, accuracy, sketch_seed)
+            return real_run(case, backend, **config)
 
         def drifting(arrays, target):
             est, scanned = original(arrays, target)
@@ -242,7 +381,7 @@ class TestSketchAxis:
                 )
             return est, scanned
 
-        monkeypatch.setattr(fuzz, "run_sketch_distributed", counting_run)
+        monkeypatch.setattr(fuzz, "run_sim", counting_run)
         monkeypatch.setattr(
             sketch_mod, "intersect_count_many_estimate", drifting
         )
