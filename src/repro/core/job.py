@@ -22,15 +22,15 @@ from repro.core.api import GMinerApp
 from repro.core.config import GMinerConfig
 from repro.core.errors import JobDeadlineExceeded
 from repro.core.master import Master
+from repro.core.recovery import JobRecovery, fault_stats
 from repro.core.worker import SimWorker
-from repro.graph.graph import Graph, VertexData
+from repro.graph.graph import Graph
 from repro.obs import MASTER_TID, ObsSession, current_collector
 from repro.partitioning import BDGPartitioner, HashPartitioner, PartitionAssignment
 from repro.sim.cluster import Cluster, build_cluster
 from repro.sim.engine import Simulator
 from repro.sim.errors import SimulatedOOMError
-from repro.sim.failures import FailureInjector, FailurePlan
-from repro.sim.hdfs import SimulatedHDFS
+from repro.sim.failures import FailurePlan
 from repro.sim.metrics import UtilizationTimeline
 from repro.verify import InvariantMonitor, verify_env_enabled
 
@@ -261,6 +261,9 @@ class GMinerJob:
         self.assignment: Optional[PartitionAssignment] = None
         self.obs: Optional[ObsSession] = None
         self.verify: Optional[InvariantMonitor] = None
+        #: §7 arming (:mod:`repro.core.recovery`) when the job has a
+        #: failure plan or checkpoints; ``None`` otherwise.
+        self.recovery: Optional[JobRecovery] = None
         #: Optional ``threading.Event``-like cancel flag.  Set it (from
         #: any thread) before or during ``run()`` to cancel a native
         #: run cooperatively: the supervised pool is torn down
@@ -534,16 +537,13 @@ class GMinerJob:
         if self._sim is None:
             raise RuntimeError("complete() before begin()")
         controller = self._controller
-        cluster = self.cluster
         status = JobStatus.OK
         if self._oom:
             status = JobStatus.OOM
         elif not controller.finished:
             status = JobStatus.TIMEOUT
         with self._job_context():
-            result = self._collect(
-                status, controller, cluster, self._setup_seconds, self._partition_seconds
-            )
+            result = self._collect(status)
             if self.verify is not None:
                 # the full conservation audit; on OK runs the
                 # controller is finished and the task ledger must
@@ -552,16 +552,10 @@ class GMinerJob:
                     controller=controller,
                     workers=self.workers,
                     master=self.master,
-                    cluster=cluster,
+                    cluster=self.cluster,
                 )
             if self.obs is not None:
-                self._finalize_obs(
-                    result,
-                    controller,
-                    cluster,
-                    self._transfer_seconds,
-                    self._partition_seconds,
-                )
+                self._finalize_obs(result)
         if self._collector is not None:
             self._collector.add_run(result.obs)
         self._result = result
@@ -577,7 +571,6 @@ class GMinerJob:
         if self.verify is not None:
             cluster.network.verify = self.verify
         master_endpoint = num_workers
-        hdfs = SimulatedHDFS(sim)
 
         assignment = self._partition(num_workers)
         assignment.validate_complete(self.graph)
@@ -603,7 +596,6 @@ class GMinerJob:
                 aggregator_state=agg_state,
                 master_endpoint=master_endpoint,
             )
-            worker.hdfs = hdfs
             if self.obs is not None:
                 worker.attach_obs(self.obs)
             if self.verify is not None:
@@ -642,22 +634,15 @@ class GMinerJob:
 
         sim.schedule(setup_seconds, start_mining)
 
-        if self.failure_plan is not None:
-            self._arm_failures(cluster, hdfs, master, controller)
+        if self.failure_plan is not None or self.config.checkpoint_interval is not None:
+            self.recovery = JobRecovery(self, controller)
 
         self._controller = controller
         self._setup_seconds = setup_seconds
         self._partition_seconds = partition_seconds
         self._transfer_seconds = transfer_seconds
 
-    def _finalize_obs(
-        self,
-        result: JobResult,
-        controller: JobController,
-        cluster: Cluster,
-        transfer_seconds: float,
-        partition_seconds: float,
-    ) -> None:
+    def _finalize_obs(self, result: JobResult) -> None:
         """Record job-phase spans and run-level gauges, then freeze the
         session into ``result.obs``.
 
@@ -665,14 +650,14 @@ class GMinerJob:
         message count, network bytes, tasks created and charged work
         units (pinned by ``tests/test_golden_values.py``).
         """
-        obs = self.obs
+        obs, controller, cluster = self.obs, self._controller, self.cluster
         finish = result.total_seconds
         setup_seconds = result.setup_seconds
         obs.tracer.complete(
             "job.partition",
             cat="job",
             tid=MASTER_TID,
-            start=min(transfer_seconds, finish),
+            start=min(self._transfer_seconds, finish),
             end=min(setup_seconds, finish),
         )
         obs.tracer.complete(
@@ -681,8 +666,8 @@ class GMinerJob:
             tid=MASTER_TID,
             start=0.0,
             end=min(setup_seconds, finish),
-            transfer=transfer_seconds,
-            partition=partition_seconds,
+            transfer=self._transfer_seconds,
+            partition=self._partition_seconds,
         )
         if finish > setup_seconds:
             obs.tracer.complete(
@@ -742,117 +727,11 @@ class GMinerJob:
 
         worker.cluster.sim.schedule(base, tick)
 
-    def _arm_failures(
-        self,
-        cluster: Cluster,
-        hdfs: SimulatedHDFS,
-        master: Master,
-        controller: JobController,
-    ) -> None:
-        """Arm the full degraded-mode stack for this failure plan.
-
-        The *physical* layer (nodes halting, links degrading, reboots
-        reloading the checkpoint) always runs from the injector — a
-        dying node needs no detector to lose its memory.  How the rest
-        of the cluster *finds out* is the protocol's job: the master's
-        heartbeat suspect→confirm monitor (§7's "missing progress
-        reports").
-        """
-        workers = self.workers
-        plan = self.failure_plan
-
-        # degrade the fabric: seeded loss/duplication/reorder/slow-link/
-        # partition behaviour, compiled from the declarative plan
-        fault_model = plan.build_link_fault_model()
-        if fault_model is not None:
-            cluster.network.install_faults(fault_model)
-
-        # arm the degraded-mode protocol on every worker: heartbeats,
-        # pull retransmit timers, duplicate suppression
-        for worker in workers:
-            worker.enable_fault_tolerance(seed=plan.seed)
-
-        # a physical failure holds the job open until BOTH the reboot
-        # finished restoring AND the master re-admitted the worker (else
-        # completion could race the WorkerUp broadcast and strand
-        # re-injected tasks)
-        pending_readmit: Dict[int, int] = {}
-        obs = self.obs
-        recovery_spans: Dict[int, Any] = {}
-
-        def on_readmitted(worker_id: int) -> None:
-            if pending_readmit.get(worker_id, 0) > 0:
-                pending_readmit[worker_id] -= 1
-                controller.end_recovery()
-
-        master.on_worker_readmitted = on_readmitted
-        master.start_failure_monitor()
-
-        def on_fail(node_id: int) -> None:
-            worker = workers[node_id]
-            controller.begin_recovery()  # released when the restore finishes
-            controller.begin_recovery()  # released on re-admission
-            pending_readmit[node_id] = pending_readmit.get(node_id, 0) + 1
-            lost = worker.on_failure()
-            controller.tasks_lost(lost)
-            if obs is not None:
-                obs.tracer.instant(
-                    "worker.failed", cat="fault", tid=node_id, lost=lost
-                )
-                recovery_spans[node_id] = obs.tracer.begin(
-                    "worker.recovery", cat="fault", tid=node_id
-                )
-
-        def on_recover(node_id: int) -> None:
-            worker = workers[node_id]
-            # reload partition + checkpoint from HDFS before resuming
-            partition_bytes = sum(
-                v.estimate_size() for v in worker.vertex_table.values()
-            )
-            read_seconds = partition_bytes / 4e6 + 2e-3
-
-            def restore():
-                restored = worker.recover(hdfs)
-                controller.tasks_restored(restored)
-                self._arm_worker_tick(worker, controller)
-                worker._pump_retriever()
-                finish_restore()
-
-            def finish_restore():
-                # a pre-checkpoint death recovers by re-seeding, which
-                # runs asynchronously on the cores: hold the job open
-                # until the re-scan has re-created every task
-                if worker._seeding_done:
-                    if obs is not None:
-                        obs.tracer.finish(recovery_spans.pop(node_id, None))
-                    controller.end_recovery()
-                else:
-                    cluster.sim.schedule(
-                        self.config.progress_interval, finish_restore
-                    )
-
-            cluster.sim.schedule(read_seconds, restore)
-
-        injector = FailureInjector(
-            cluster,
-            plan,
-            on_fail=on_fail,
-            on_recover=on_recover,
-            controller=controller,
-        )
-        injector.arm()
-        self.injector = injector
-
     # ------------------------------------------------------------------
 
-    def _collect(
-        self,
-        status: JobStatus,
-        controller: JobController,
-        cluster: Cluster,
-        setup_seconds: float,
-        partition_seconds: float,
-    ) -> JobResult:
+    def _collect(self, status: JobStatus) -> JobResult:
+        controller, cluster = self._controller, self.cluster
+        setup_seconds = self._setup_seconds
         finish = controller.finish_time if controller.finished else cluster.sim.now
         mining_start = setup_seconds
         mining_seconds = max(0.0, finish - mining_start)
@@ -890,14 +769,8 @@ class GMinerJob:
             partials = [
                 w.agg.local_partial for w in self.workers if w.agg is not None
             ]
-            if self.failure_plan is not None and self.master is not None:
-                # the master never crashes in this fault model, so its
-                # last-reported copy of each worker's partial is durable:
-                # a bound discovered, reported and then lost to a worker
-                # crash still reaches the final aggregate.  Only sound
-                # for idempotent/monotone merges (MCF's max), which is
-                # why it is gated to degraded runs.
-                partials.extend(self.master.agg_partials.values())
+            if self.recovery is not None:
+                partials.extend(self.recovery.durable_partials())
             aggregated = agg.merge_all(partials) if partials else agg.initial()
 
         meters = {
@@ -929,46 +802,8 @@ class GMinerJob:
             "overflow_inserts": sum(
                 c.rejected_inserts for w in self.workers for c in w.caches
             ),
-            # -- degraded-mode protocol counters (§7): all zero on
-            # fault-free runs, so fingerprints stay stable ---------------
-            "failures_detected": self.master.failures_detected if self.master else 0,
-            "workers_suspected": self.master.workers_suspected if self.master else 0,
-            "readmissions": self.master.readmissions if self.master else 0,
-            "stale_messages_dropped": (
-                self.master.stale_messages_dropped if self.master else 0
-            ),
-            "unknown_messages_dropped": (
-                self.master.unknown_messages_dropped if self.master else 0
-            ),
-            "heartbeats_sent": sum(w.stats.heartbeats_sent for w in self.workers),
-            "rpc_retries": sum(w.stats.rpc_retries for w in self.workers),
-            "rpc_backoff_cycles": sum(
-                w.stats.rpc_backoff_cycles for w in self.workers
-            ),
-            "duplicate_responses_dropped": sum(
-                w.stats.duplicate_responses_dropped for w in self.workers
-            ),
-            "stale_responses_dropped": sum(
-                w.stats.stale_responses_dropped for w in self.workers
-            ),
-            "duplicate_migrations_dropped": sum(
-                w.stats.duplicate_migrations_dropped for w in self.workers
-            ),
-            "migration_retransmits": sum(
-                w.stats.migration_retransmits for w in self.workers
-            ),
+            **fault_stats(self.master, self.workers, cluster.network),
         }
-        fault_model = cluster.network.faults
-        stats.update(
-            fault_model.stats()
-            if fault_model is not None
-            else {
-                "net_fault_dropped": 0,
-                "net_fault_partition_dropped": 0,
-                "net_fault_duplicated": 0,
-                "net_fault_delayed": 0,
-            }
-        )
         hits = stats["cache_hits"]
         misses = stats["cache_misses"]
         stats["cache_hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
@@ -983,7 +818,7 @@ class GMinerJob:
             value=value,
             aggregated=aggregated,
             setup_seconds=setup_seconds,
-            partition_seconds=partition_seconds,
+            partition_seconds=self._partition_seconds,
             mining_seconds=mining_seconds,
             total_seconds=finish,
             cpu_utilization=cluster.cpu_utilization(mining_start, finish)

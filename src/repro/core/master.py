@@ -243,12 +243,9 @@ class Master:
         # gossip the full membership view every tick: any individual
         # WorkerDown/WorkerUp notice can be lost on a degraded fabric,
         # and a worker acting on a stale view would park pulls forever
-        view = MembershipView(down=tuple(sorted(self.down_workers)), view=self.view)
-        for worker in range(self.num_workers):
-            if worker not in self.down_workers:
-                self.cluster.network.send(
-                    self.endpoint, worker, view.size_bytes(), view
-                )
+        self._tell_live_workers(
+            MembershipView(down=tuple(sorted(self.down_workers)), view=self.view)
+        )
         self.sim.schedule(HEARTBEAT_INTERVAL, self._monitor_tick)
 
     def _on_heartbeat(self, worker: int, incarnation: int = 0) -> None:
@@ -295,26 +292,24 @@ class Master:
         self.down_workers.add(worker)
         self.progress_table.pop(worker, None)
         self.view += 1
-        notice = WorkerDown(worker=worker, view=self.view)
-        for other in range(self.num_workers):
-            if other != worker and other not in self.down_workers:
-                self.cluster.network.send(
-                    self.endpoint, other, notice.size_bytes(), notice
-                )
+        self._tell_live_workers(WorkerDown(worker=worker, view=self.view))
 
     def handle_worker_recovery(self, worker: int) -> None:
         self.down_workers.discard(worker)
         self.suspected.discard(worker)
         self.last_heard[worker] = self.sim.now
         self.view += 1
-        notice = WorkerUp(worker=worker, view=self.view)
-        for other in range(self.num_workers):
-            if other != worker and other not in self.down_workers:
-                self.cluster.network.send(
-                    self.endpoint, other, notice.size_bytes(), notice
-                )
+        self._tell_live_workers(WorkerUp(worker=worker, view=self.view), skip=worker)
         if self.on_worker_readmitted is not None:
             self.on_worker_readmitted(worker)
+
+    def _tell_live_workers(self, notice, skip: Optional[int] = None) -> None:
+        """Send a membership notice to every worker not known down."""
+        for worker in range(self.num_workers):
+            if worker != skip and worker not in self.down_workers:
+                self.cluster.network.send(
+                    self.endpoint, worker, notice.size_bytes(), notice
+                )
 
     # ------------------------------------------------------------------
     # message dispatch

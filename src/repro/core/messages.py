@@ -23,8 +23,7 @@ class PullRequest:
     """Candidate retriever → remote worker: fetch these vertices.
 
     ``seq`` identifies the RPC so retransmitted requests can be matched
-    to (possibly duplicated) responses; -1 marks the legacy fault-free
-    path where no matching is needed.
+    to (possibly duplicated) responses.
     """
 
     requester: int
@@ -163,11 +162,11 @@ class WorkerDown:
     ``view`` is the master's membership version at the time of the
     change: receivers discard notices older than the latest view they
     applied, so a reordered stale notice cannot resurrect (or re-bury)
-    a worker.  -1 marks the legacy direct path with no versioning.
+    a worker.
     """
 
     worker: int
-    view: int = -1
+    view: int
 
     def size_bytes(self) -> int:
         return _HEADER + 8
@@ -178,7 +177,7 @@ class WorkerUp:
     """Master → workers: recovered; re-issue parked pulls."""
 
     worker: int
-    view: int = -1
+    view: int
 
     def size_bytes(self) -> int:
         return _HEADER + 8

@@ -7,42 +7,37 @@ One worker runs per cluster node.  It hosts:
 * the **candidate retriever** (CMQ + RCV cache + remote pulls),
 * the **task executor** (compute pool + task buffer),
 * the request listener (serving pulls and migrations from peers),
-* the progress reporter and checkpoint logic.
+* the progress reporter.
 
 The three pipeline stages share no barrier: the retriever keeps the
 CMQ primed while cores crunch tasks and the disk spills/loads store
 blocks, which is exactly the overlap Figure 6 shows.
+
+Fault tolerance (§7) is not here: checkpoints, restore and the
+degraded-mode protocol live in :mod:`repro.core.recovery`, reached
+through ``self.recovery`` — ``None`` unless the job is armed for them.
 """
 
 from __future__ import annotations
 
-import copy
-import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.aggregator import AggregatorState
 from repro.core.api import GMinerApp
 from repro.core.config import GMinerConfig
 from repro.core.lsh import MinHashLSH
-from repro.core.master import HEARTBEAT_INTERVAL
 from repro.core.messages import (
     AggBroadcast,
     AggReport,
-    CheckpointCommand,
-    Heartbeat,
-    MembershipView,
     MigrateCommand,
-    MigrationAck,
     NoTask,
     ProgressReport,
     PullRequest,
     PullResponse,
     StealRequest,
     TaskMigration,
-    WorkerDown,
-    WorkerUp,
 )
 from repro.core.rcv_cache import CachePolicy, RCVCache
 from repro.core.task import Task, TaskEnv, TaskStatus
@@ -50,19 +45,15 @@ from repro.core.task_store import TaskStore
 from repro.graph.graph import VertexData
 from repro.sim.cluster import Cluster, Node
 
+if TYPE_CHECKING:
+    from repro.core.job import JobController
+    from repro.core.recovery import WorkerRecovery
+
 #: A task-store block also splits past this many bytes, so heavy tasks
 #: (GC growers, GM partial-embedding sets) cannot balloon the one
 #: in-memory head block — the store's whole point is bounding memory
 #: (§4.3).
 STORE_BLOCK_BYTES = 262_144
-#: Per-pull RPC timeout: an unanswered pull is retransmitted with
-#: seeded exponential backoff + jitter after this many simulated seconds.
-RPC_TIMEOUT = 0.05
-#: Retries per backoff cycle.  An exhausted cycle does not abandon the
-#: pull (that would lose the task): the worker cools down for one
-#: maximum-backoff period and starts a fresh cycle, unless the owner has
-#: been declared down (then the pull parks until ``WorkerUp``).
-RPC_MAX_RETRIES = 4
 
 
 @dataclass
@@ -71,27 +62,6 @@ class _PendingPull:
 
     task: Task
     remaining: Set[int] = field(default_factory=set)  # vids not yet available
-    parked: Set[int] = field(default_factory=set)  # vids owned by down workers
-
-
-@dataclass
-class _PendingRpc:
-    """An outstanding pull RPC awaiting its (seq-matched) response."""
-
-    owner: int
-    vids: Tuple[int, ...]
-    attempts: int = 0
-    timer: Any = None  # sim Event for the retransmit timeout
-
-
-@dataclass
-class _PendingMigration:
-    """An unacked outbound TaskMigration, retransmitted until acked."""
-
-    dest: int
-    migration: TaskMigration
-    attempts: int = 0
-    timer: Any = None
 
 
 @dataclass
@@ -108,14 +78,6 @@ class WorkerStats:
     re_pulls: int = 0
     steal_requests: int = 0
     checkpoints: int = 0
-    # -- degraded-mode protocol counters (all zero on fault-free runs) --
-    heartbeats_sent: int = 0
-    rpc_retries: int = 0
-    rpc_backoff_cycles: int = 0
-    duplicate_responses_dropped: int = 0
-    stale_responses_dropped: int = 0
-    duplicate_migrations_dropped: int = 0
-    migration_retransmits: int = 0
 
 
 class SimWorker:
@@ -128,7 +90,7 @@ class SimWorker:
         cluster: Cluster,
         config: GMinerConfig,
         app: GMinerApp,
-        controller: "JobControllerProtocol",
+        controller: "JobController",
         owner_of: Callable[[int], int],
         aggregator_state: Optional[AggregatorState],
         master_endpoint: int,
@@ -174,17 +136,14 @@ class SimWorker:
         self.live_tasks: Dict[int, Task] = {}
         self.results: Dict[int, Any] = {}
         self.overflow: Dict[int, Tuple[VertexData, int]] = {}  # cache-bypass slots
-        self.down_workers: Set[int] = set()
-        # copies of tasks migrated out, kept so they can be re-injected
-        # if the destination dies before checkpointing them (§7): task
-        # results are deterministic and deduplicated by task id, so
-        # re-running a migrated task is always safe
-        self.sent_tasks: Dict[int, List[Task]] = {}
         self.stats = WorkerStats()
         self._steal_pending = False
-        self._checkpoint: Optional[Dict[str, Any]] = None
         self._seeding_done = False
-        self.hdfs = None  # set by GMinerJob (checkpoint target)
+        self._next_seq = 0  # pull RPC and migration ids
+        #: :class:`repro.core.recovery.WorkerRecovery` when the job is
+        #: armed for failures or checkpoints; ``None`` keeps every hook
+        #: site to a single branch.
+        self.recovery: Optional["WorkerRecovery"] = None
         #: :class:`repro.obs.ObsSession` when observability is on;
         #: ``None`` keeps every instrumented site to a single branch.
         self.obs = None
@@ -194,26 +153,6 @@ class SimWorker:
         #: units this worker hands to its core pool so barrier checks
         #: can compare them against the pool's own accumulator.
         self.verify = None
-
-        # -- degraded-mode protocol state (§7) --------------------------
-        # Dormant unless a failure plan is armed: fault-free runs issue
-        # no heartbeats, start no RPC timers and track no dedup state,
-        # so they stay byte-identical to a build without the fault
-        # layer.  ``incarnation`` counts reboots and rides on every
-        # heartbeat so the master can detect crashes it never observed
-        # as silence.
-        self.faults_enabled = False
-        self.incarnation = 0
-        self._rpc_rng: Optional[random.Random] = None
-        self._next_seq = 0
-        self._pending_rpcs: Dict[int, _PendingRpc] = {}
-        self._completed_seqs: Set[int] = set()
-        self._pending_migrations: Dict[int, _PendingMigration] = {}
-        self._seen_migrations: Set[Tuple[int, int]] = set()
-        # latest membership view applied; stale (reordered/duplicated)
-        # WorkerDown/WorkerUp notices carry an older view and are dropped
-        self._membership_view = -1
-
         cluster.network.register_handler(worker_id, self._on_message)
 
     def _emit(self, task_id: int, name: str) -> None:
@@ -449,11 +388,9 @@ class SimWorker:
                 waiters.append(task.task_id)
                 continue  # someone already pulled this vid
             self.inflight[vid] = [task.task_id]
-            owner = self.owner_of(vid)
-            if owner in self.down_workers:
-                pending.parked.add(vid)
-            else:
-                by_owner.setdefault(owner, []).append(vid)
+            by_owner.setdefault(self.owner_of(vid), []).append(vid)
+        if self.recovery is not None:
+            self.recovery.park_pulls(task.task_id, by_owner)
         for owner, vids in sorted(by_owner.items()):
             self._send_pull(owner, vids)
 
@@ -473,96 +410,10 @@ class SimWorker:
                 owner=owner,
                 vids=len(vids),
             )
-        if self.faults_enabled:
-            pending = _PendingRpc(owner=owner, vids=request.vids)
-            self._pending_rpcs[seq] = pending
-            pending.timer = self.sim.schedule(
-                self._rpc_delay(0), lambda: self._on_rpc_timeout(seq)
-            )
+        if self.recovery is not None:
+            self.recovery.pull_sent(owner, request)
         self.cluster.network.send(
             self.worker_id, owner, request.size_bytes(), request
-        )
-
-    # ------------------------------------------------------------------
-    # RPC robustness (§7): timeout, seeded backoff, dedup
-    # ------------------------------------------------------------------
-
-    def enable_fault_tolerance(self, seed: int = 0) -> None:
-        """Arm the degraded-mode protocol: heartbeats to the master,
-        per-pull retransmit timers and duplicate suppression.  Called by
-        :class:`GMinerJob` exactly when a failure plan exists, keeping
-        fault-free runs byte-identical to the legacy path."""
-        self.faults_enabled = True
-        self._rpc_rng = random.Random(
-            1_000_003 * (seed + 1) + 7_919 * (self.worker_id + 1)
-        )
-        self._arm_heartbeat()
-
-    def _arm_heartbeat(self) -> None:
-        def tick() -> None:
-            if self.controller.finished:
-                return
-            if self.node.alive:
-                beat = Heartbeat(
-                    worker=self.worker_id, incarnation=self.incarnation
-                )
-                self.stats.heartbeats_sent += 1
-                self.cluster.network.send(
-                    self.worker_id, self.master_endpoint, beat.size_bytes(), beat
-                )
-            self.sim.schedule(HEARTBEAT_INTERVAL, tick)
-
-        self.sim.schedule(HEARTBEAT_INTERVAL, tick)
-
-    def _rpc_delay(self, attempt: int) -> float:
-        """Exponential backoff with seeded jitter; the exponent is
-        capped at :data:`RPC_MAX_RETRIES` so cool-down cycles cannot grow
-        without bound."""
-        exponent = min(attempt, RPC_MAX_RETRIES)
-        base = RPC_TIMEOUT * (2.0 ** exponent)
-        return base * (1.0 + 0.25 * self._rpc_rng.random())
-
-    def _on_rpc_timeout(self, seq: int) -> None:
-        pending = self._pending_rpcs.get(seq)
-        if pending is None or not self.node.alive or self.controller.finished:
-            return
-        if pending.owner in self.down_workers:
-            # the master declared the owner dead after this pull went
-            # out: its vids are parked (``on_worker_down``) and will be
-            # re-issued as a fresh RPC on ``WorkerUp``
-            del self._pending_rpcs[seq]
-            return
-        pending.attempts += 1
-        if pending.attempts > RPC_MAX_RETRIES:
-            # cycle exhausted.  Abandoning the pull would strand its
-            # tasks forever, so instead rest for one maximum-backoff
-            # period and start a fresh cycle.
-            self.stats.rpc_backoff_cycles += 1
-            pending.attempts = 0
-            pending.timer = self.sim.schedule(
-                self._rpc_delay(RPC_MAX_RETRIES),
-                lambda: self._on_rpc_timeout(seq),
-            )
-            return
-        self.stats.rpc_retries += 1
-        if self.obs is not None:
-            self._emit(-1, "task.rpc_retry")
-            self._m_retries.inc()
-            self.obs.tracer.instant(
-                "rpc.retry",
-                cat="rpc",
-                tid=self.worker_id,
-                owner=pending.owner,
-                attempt=pending.attempts,
-            )
-        request = PullRequest(
-            requester=self.worker_id, vids=pending.vids, seq=seq
-        )
-        self.cluster.network.send(
-            self.worker_id, pending.owner, request.size_bytes(), request
-        )
-        pending.timer = self.sim.schedule(
-            self._rpc_delay(pending.attempts), lambda: self._on_rpc_timeout(seq)
         )
 
     def _on_pull_response(self, response: PullResponse) -> None:
@@ -573,20 +424,8 @@ class SimWorker:
             if span is not None:
                 self.obs.tracer.finish(span)
                 self._h_pull_wait.observe(span.end - span.start)
-        if self.faults_enabled:
-            if response.seq in self._completed_seqs:
-                # at-least-once delivery: a duplicated or retransmitted
-                # response for an RPC we already consumed
-                self.stats.duplicate_responses_dropped += 1
-                return
-            pending = self._pending_rpcs.pop(response.seq, None)
-            if pending is None:
-                # response to an RPC cancelled by WorkerDown/failure
-                self.stats.stale_responses_dropped += 1
-                return
-            if pending.timer is not None:
-                pending.timer.cancel()
-            self._completed_seqs.add(response.seq)
+        if self.recovery is not None and not self.recovery.response_accepted(response):
+            return
         if self.obs is not None and response.vertices:
             self._m_vertices.inc(len(response.vertices))
         self.stats.vertices_pulled += len(response.vertices)
@@ -619,7 +458,6 @@ class SimWorker:
                 pending = cmq[task_id]
                 pending.task._held_refs.add(vid)
                 pending.remaining.discard(vid)
-                pending.parked.discard(vid)
                 if not pending.remaining:
                     ready.append(pending.task)
         for task in ready:
@@ -803,96 +641,26 @@ class SimWorker:
             self.stats.tasks_migrated_out += 1
             if self.obs is not None:
                 self._emit(task.task_id, "task.migrated_out")
-            self.sent_tasks.setdefault(dest, []).append(task.clone())
         seq = self._next_seq
         self._next_seq += 1
         migration = TaskMigration(source=self.worker_id, tasks=tasks, seq=seq)
-        if self.faults_enabled:
-            # explicit in-flight accounting: the tasks leave this
-            # worker's responsibility now and re-enter the live count
-            # when (an incarnation of) the migration is applied.  The
-            # recovery hold keeps the job from finishing while they are
-            # on the wire.
-            self.controller.tasks_lost(len(tasks))
-            self.controller.begin_recovery()
-            pending = _PendingMigration(dest=dest, migration=migration)
-            self._pending_migrations[seq] = pending
-            pending.timer = self.sim.schedule(
-                self._rpc_delay(1), lambda: self._on_migration_timeout(seq)
-            )
+        if self.recovery is not None:
+            self.recovery.migration_shipped(dest, migration)
         self.cluster.network.send(
             self.worker_id, dest, migration.size_bytes(), migration
         )
 
-    def _on_migration_timeout(self, seq: int) -> None:
-        pending = self._pending_migrations.get(seq)
-        if pending is None or not self.node.alive:
-            return
-        if pending.dest in self.down_workers:
-            # the destination was declared down under us; the copies are
-            # covered by ``sent_tasks`` re-injection, so settle the
-            # migration here (normally ``on_worker_down`` already did)
-            self._cancel_pending_migrations_to(pending.dest)
-            return
-        pending.attempts += 1
-        if pending.attempts > RPC_MAX_RETRIES:
-            self.stats.rpc_backoff_cycles += 1
-            pending.attempts = 0
-        else:
-            self.stats.migration_retransmits += 1
-            if self.obs is not None:
-                self._emit(-1, "task.rpc_retry")
-            migration = pending.migration
-            self.cluster.network.send(
-                self.worker_id, pending.dest, migration.size_bytes(), migration
-            )
-        pending.timer = self.sim.schedule(
-            self._rpc_delay(max(pending.attempts, 1)),
-            lambda: self._on_migration_timeout(seq),
-        )
-
-    def _on_migration_ack(self, ack: MigrationAck) -> None:
-        pending = self._pending_migrations.pop(ack.seq, None)
-        if pending is None:
-            return  # ack retransmitted for a migration already settled
-        if pending.timer is not None:
-            pending.timer.cancel()
-        self.controller.end_recovery()
-
-    def _cancel_pending_migrations_to(self, dest: int) -> None:
-        """The destination was declared down: stop retransmitting.  The
-        in-flight copies are covered by ``sent_tasks`` re-injection."""
-        for seq, pending in list(self._pending_migrations.items()):
-            if pending.dest != dest:
-                continue
-            if pending.timer is not None:
-                pending.timer.cancel()
-            del self._pending_migrations[seq]
-            self.controller.end_recovery()
-
     def _on_migration(self, migration: TaskMigration) -> None:
         self._steal_pending = False
-        if self.faults_enabled:
-            # always (re-)ack — the previous ack may have been lost
-            ack = MigrationAck(worker=self.worker_id, seq=migration.seq)
-            self.cluster.network.send(
-                self.worker_id, migration.source, ack.size_bytes(), ack
-            )
-            key = (migration.source, migration.seq)
-            if key in self._seen_migrations:
-                # a duplicated or retransmitted delivery: applying it
-                # twice would double-run the tasks and corrupt the
-                # global live count
-                self.stats.duplicate_migrations_dropped += 1
-                return
-            self._seen_migrations.add(key)
+        recovery = self.recovery
+        created = recovery.migration_accepted(migration) if recovery else False
+        if created is None:
+            return  # a duplicated or retransmitted delivery
         for task in migration.tasks:
             self.stats.tasks_migrated_in += 1
             if self.obs is not None:
                 self._emit(task.task_id, "task.migrated_in")
-            # under faults the count pairs with the sender's
-            # ``tasks_lost`` at ship time
-            self._adopt(task, created=self.faults_enabled)
+            self._adopt(task, created=created)
             task.status = TaskStatus.INACTIVE
             # what is "remote" changed with the move: recompute the
             # pull set relative to this worker's partition
@@ -940,207 +708,6 @@ class SimWorker:
         )
 
     # ------------------------------------------------------------------
-    # fault tolerance (§7)
-    # ------------------------------------------------------------------
-
-    def take_checkpoint(self, hdfs, epoch: int) -> None:
-        """Snapshot live tasks + results + aggregator partial to HDFS.
-
-        Skipped while seeding is still running: a mid-seeding snapshot
-        is not a consistent state (it records no scan position), and
-        restoring it would silently drop every task seeded after it.
-        With no checkpoint at all, recovery re-seeds from scratch, which
-        is exact.
-        """
-        if not self.node.alive or not self._seeding_done:
-            return
-        self._flush_buffer(force=True)
-        # a task can be finished but still in live_tasks: its last round
-        # has run (state mutates at core dispatch) while the completion
-        # callback that records the result and kills it fires only after
-        # the round's simulated duration.  Snapshotting it as *live*
-        # would make a restore re-execute a round past its lifetime (and
-        # lose the result, which is not in self.results yet) — so it is
-        # checkpointed as completed instead
-        tasks = []
-        results = dict(self.results)
-        for t in self.live_tasks.values():
-            if t.finished:
-                if t.result is not None:
-                    results[t.task_id] = t.result
-            else:
-                tasks.append(t.clone())
-        # sender-side logging: unacked outbound migrations are still
-        # this worker's responsibility — without them, a crash after a
-        # lost migration message would lose the tasks forever
-        for pending in self._pending_migrations.values():
-            tasks.extend(t.clone() for t in pending.migration.tasks)
-        snapshot = {
-            "tasks": tasks,
-            "results": results,
-            "agg_partial": copy.deepcopy(self.agg.local_partial) if self.agg else None,
-            # the migration dedup ledger is durable state: it must stay
-            # consistent with the task snapshot, else a retransmission
-            # arriving after a restore would re-apply tasks the snapshot
-            # already contains (double-count), or be wrongly suppressed
-            "seen_migrations": set(self._seen_migrations),
-        }
-        size = sum(t.estimate_size() for t in self.live_tasks.values()) + 64 * (
-            len(self.results) + 1
-        )
-        self._checkpoint = snapshot
-        self.stats.checkpoints += 1
-        if self.obs is not None:
-            self._m_checkpoints.inc()
-            self.obs.tracer.instant(
-                "checkpoint.taken",
-                cat="fault",
-                tid=self.worker_id,
-                epoch=epoch,
-                tasks=len(tasks),
-            )
-        hdfs.write(f"ckpt/{epoch}/worker-{self.worker_id}", snapshot, size)
-        self.node.disk.write(size, lambda: None)
-
-    def on_failure(self) -> int:
-        """The node died: all volatile state is gone.  Returns the number
-        of live tasks lost (the controller removes them from the global
-        count until recovery restores the checkpoint)."""
-        lost = len(self.live_tasks)
-        # until recover() completes, this worker has no consistent state:
-        # clearing the seeding flag blocks the checkpoint path, else a
-        # CheckpointCommand arriving between the physical reboot and the
-        # logical restore would snapshot the post-crash empty state and
-        # shadow the real recovery source (re-seed or a prior snapshot)
-        self._seeding_done = False
-        self.live_tasks.clear()
-        self.cmq.clear()
-        self.inflight.clear()
-        self.task_buffer.clear()
-        self.overflow.clear()
-        self.store.drain_all()
-        for cache in self.caches:
-            cache.drop_all()
-        self.results.clear()
-        self._steal_pending = False
-        # volatile protocol state dies with the node.  The migration
-        # dedup ledger is deliberately cleared too — amnesia is real,
-        # and a retransmission arriving post-reboot must re-apply since
-        # the first application was wiped.
-        for pending in self._pending_rpcs.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-        self._pending_rpcs.clear()
-        self._completed_seqs.clear()
-        for pending in self._pending_migrations.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-            # release the in-flight hold: the tasks are either delivered
-            # anyway (the message survives the sender), restored from
-            # this worker's checkpoint (it snapshots unacked outbound
-            # migrations), or re-run at the destination
-            self.controller.end_recovery()
-        self._pending_migrations.clear()
-        self._seen_migrations.clear()
-        return lost
-
-    def recover(self, hdfs, recovery_latency_cb: Optional[Callable[[], None]] = None) -> int:
-        """Reload partition + checkpoint and resume.  Returns the number
-        of tasks restored into the live set."""
-        self.incarnation += 1
-        total = sum(v.estimate_size() for v in self.vertex_table.values())
-        self.node.allocate(total, "vertex table reload")
-        if self._checkpoint is None:
-            # died before the first snapshot: restart this worker's
-            # share of the job from scratch by re-seeding
-            self._seeding_done = False
-            self.seed_tasks()
-            if recovery_latency_cb is not None:
-                recovery_latency_cb()
-            return 0
-        snapshot = self._checkpoint
-        restored = 0
-        self.results = dict(snapshot["results"])
-        self._seen_migrations = set(snapshot.get("seen_migrations", ()))
-        if self.agg is not None and snapshot["agg_partial"] is not None:
-            self.agg.local_partial = copy.deepcopy(snapshot["agg_partial"])
-        for task in snapshot["tasks"]:
-            task = task.clone()
-            self._adopt(task, created=False)
-            task.status = TaskStatus.INACTIVE
-            self.task_buffer.append(task)
-            restored += 1
-        self._seeding_done = True
-        self._flush_buffer(force=True)
-        if recovery_latency_cb is not None:
-            recovery_latency_cb()
-        return restored
-
-    def _apply_membership(self, view: int, down: Set[int]) -> None:
-        """Reconcile against a versioned membership view from the master.
-
-        Views are totally ordered; anything at or below the last applied
-        view is a duplicated or reordered straggler and is ignored, so a
-        stale ``WorkerDown`` can never re-bury a recovered peer.  The
-        reconcile itself is a diff, which makes lost individual notices
-        harmless: the next periodic ``MembershipView`` carries the same
-        information.
-        """
-        if view <= self._membership_view:
-            return
-        self._membership_view = view
-        down = set(down)
-        down.discard(self.worker_id)  # never act on our own obituary
-        for worker in sorted(down - self.down_workers):
-            self.on_worker_down(worker)
-        for worker in sorted(self.down_workers - down):
-            self.on_worker_up(worker)
-
-    def on_worker_down(self, dead: int) -> None:
-        """Park pulls aimed at a dead worker until it comes back, and
-        re-inject any task this worker migrated to the casualty."""
-        if dead in self.down_workers:
-            return  # duplicated notice; the transition already ran
-        self.down_workers.add(dead)
-        # cancel outstanding RPCs to the casualty: their vids park below
-        # and re-issue as fresh RPCs on WorkerUp
-        for seq, pending in list(self._pending_rpcs.items()):
-            if pending.owner != dead:
-                continue
-            if pending.timer is not None:
-                pending.timer.cancel()
-            del self._pending_rpcs[seq]
-        self._cancel_pending_migrations_to(dead)
-        for vid, waiters in list(self.inflight.items()):
-            if self.owner_of(vid) != dead:
-                continue
-            for task_id in waiters:
-                pending = self.cmq.get(task_id)
-                if pending is not None and vid in pending.remaining:
-                    pending.parked.add(vid)
-        for task in self.sent_tasks.pop(dead, []):
-            if task.task_id in self.live_tasks:
-                continue
-            self._adopt(task)
-            task.status = TaskStatus.INACTIVE
-            self.task_buffer.append(task)
-        self._flush_buffer(force=True)
-
-    def on_worker_up(self, recovered: int) -> None:
-        """Re-issue pulls that were parked while ``recovered`` was down."""
-        if recovered not in self.down_workers:
-            return  # duplicated notice; the transition already ran
-        self.down_workers.discard(recovered)
-        reissue: Set[int] = set()
-        for pending in self.cmq.values():
-            for vid in sorted(pending.parked):
-                if self.owner_of(vid) == recovered:
-                    pending.parked.discard(vid)
-                    reissue.add(vid)
-        if reissue:
-            self._send_pull(recovered, sorted(reissue))
-
-    # ------------------------------------------------------------------
     # message dispatch
     # ------------------------------------------------------------------
 
@@ -1160,8 +727,6 @@ class SimWorker:
             self._on_pull_response(payload)
         elif isinstance(payload, TaskMigration):
             self._on_migration(payload)
-        elif isinstance(payload, MigrationAck):
-            self._on_migration_ack(payload)
         elif isinstance(payload, NoTask):
             self._on_no_task()
         elif isinstance(payload, AggBroadcast):
@@ -1169,39 +734,7 @@ class SimWorker:
                 self.agg.receive_global(payload.value)
         elif isinstance(payload, MigrateCommand):
             self.migrate_tasks_to(payload.dest, payload.count)
-        elif isinstance(payload, CheckpointCommand):
-            if self.hdfs is not None:
-                self.take_checkpoint(self.hdfs, payload.epoch)
-        elif isinstance(payload, WorkerDown):
-            if payload.view >= 0:
-                self._apply_membership(
-                    payload.view, self.down_workers | {payload.worker}
-                )
-            else:
-                self.on_worker_down(payload.worker)
-        elif isinstance(payload, WorkerUp):
-            if payload.view >= 0:
-                self._apply_membership(
-                    payload.view, self.down_workers - {payload.worker}
-                )
-            else:
-                self.on_worker_up(payload.worker)
-        elif isinstance(payload, MembershipView):
-            self._apply_membership(payload.view, set(payload.down))
-        else:
+        elif self.recovery is None or not self.recovery.on_message(payload):
+            # checkpoint commands, migration acks and membership notices
             raise TypeError(f"worker cannot handle {type(payload).__name__}")
 
-
-class JobControllerProtocol:
-    """What workers need from the job controller (documented interface)."""
-
-    finished: bool
-
-    def task_created(self) -> None:
-        raise NotImplementedError
-
-    def task_dead(self) -> None:
-        raise NotImplementedError
-
-    def seeding_finished(self, worker_id: int) -> None:
-        raise NotImplementedError

@@ -180,10 +180,9 @@ class FailureInjector:
 
     The injector is the *physical* layer: it halts nodes, silences their
     links and later brings them back.  How the rest of the system finds
-    out is the protocol's problem — by default the master's heartbeat
-    monitor — though the ``on_fail``/``on_recover`` hooks still fire at
-    the physical instant for bookkeeping (and as the test-only oracle
-    detection path).
+    out is the protocol's problem (the master's heartbeat monitor); the
+    ``on_fail``/``on_recover`` hooks fire at the physical instant for
+    the node's own wipe and restore.
     """
 
     def __init__(

@@ -115,8 +115,8 @@ class LinkFaultModel:
     Every decision comes from one ``random.Random(seed)`` stream, drawn
     in message-send order — which the simulator makes deterministic —
     so identical seeds yield identical degraded timelines.  Fault-free
-    runs never construct this object, keeping them byte-identical to a
-    build without the fault layer.
+    fabrics never install one, keeping them byte-identical to a build
+    without the fault layer.
     """
 
     def __init__(self, specs: List[LinkFaultSpec], seed: int = 0) -> None:

@@ -110,8 +110,8 @@ class TestMessageSizes:
             MigrateCommand(dest=1, count=8),
             NoTask(source=0),
             CheckpointCommand(epoch=1),
-            WorkerDown(worker=2),
-            WorkerUp(worker=2),
+            WorkerDown(worker=2, view=1),
+            WorkerUp(worker=2, view=2),
         ],
     )
     def test_control_messages_are_small(self, message):
