@@ -68,6 +68,9 @@ class TaskStore:
         self._seq = 0
         self._size = 0
         self._loading = False
+        # bumped per load and by drain_all: a load whose token is stale
+        # (its node failed mid-load) completes as a no-op
+        self._load_token = 0
         self.disk_spills = 0
         self.disk_loads = 0
 
@@ -186,10 +189,14 @@ class TaskStore:
             return head
         # head block resides on disk: load it asynchronously
         self._loading = True
+        self._load_token += 1
+        token = self._load_token
         load_bytes = head.size_bytes
         self.disk_loads += 1
 
         def loaded():
+            if token != self._load_token:
+                return
             self._loading = False
             if self._blocks and self._blocks[0] is head:
                 head.in_memory = True
@@ -255,6 +262,8 @@ class TaskStore:
                     self._on_free(task.estimate_size())
         self._blocks = []
         self._size = 0
+        self._loading = False
+        self._load_token += 1
         return out
 
     def peek_all(self) -> List[Task]:

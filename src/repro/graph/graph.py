@@ -93,6 +93,21 @@ class Graph:
         # Adjacency is immutable after construction (labels/attributes
         # attach separately), so views never need invalidation.
         self._adj_views: Dict[str, Dict[int, Any]] = {}
+        # one VertexData per vertex (see vertex_data); a label or
+        # attribute change drops that vertex's entry
+        self._vertex_data: Dict[int, VertexData] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle the graph without its caches: both rebuild on demand,
+        and a warm graph pickles to the same bytes as a cold one."""
+        state = dict(self.__dict__)
+        state.pop("_vertex_data", None)
+        state["_adj_views"] = {}
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._vertex_data = {}
 
     # -- construction -------------------------------------------------
 
@@ -126,6 +141,7 @@ class Graph:
         """Attach a mining label (graph matching) to a vertex."""
         self._require(vid)
         self._labels[vid] = label
+        self._vertex_data.pop(vid, None)
 
     def set_labels(self, labels: Dict[int, str]) -> None:
         """Attach labels in bulk."""
@@ -136,6 +152,7 @@ class Graph:
         """Attach an attribute list ``a(v)`` to a vertex."""
         self._require(vid)
         self._attrs[vid] = tuple(attributes)
+        self._vertex_data.pop(vid, None)
 
     def set_all_attributes(self, attrs: Dict[int, Sequence[int]]) -> None:
         """Attach attribute lists in bulk."""
@@ -267,14 +284,23 @@ class Graph:
         return len(values)
 
     def vertex_data(self, vid: int) -> VertexData:
-        """Package a vertex's full transferable state."""
-        self._require(vid)
-        return VertexData(
-            vid=vid,
-            neighbors=self._adj[vid],
-            label=self._labels.get(vid),
-            attributes=self._attrs.get(vid, ()),
-        )
+        """A vertex's full transferable state, one record per vertex.
+
+        Memoised for the graph's lifetime, so the record's per-backend
+        ``neighbors_array()`` handle is converted once and then shared
+        by every task, job and forked pool worker that reads the vertex.
+        """
+        data = self._vertex_data.get(vid)
+        if data is None:
+            self._require(vid)
+            data = VertexData(
+                vid=vid,
+                neighbors=self._adj[vid],
+                label=self._labels.get(vid),
+                attributes=self._attrs.get(vid, ()),
+            )
+            self._vertex_data[vid] = data
+        return data
 
     def estimate_size(self) -> int:
         """Serialised size estimate of the whole graph in bytes."""

@@ -5,8 +5,11 @@ non-negative integers as one arbitrary-precision int with bit ``i``
 set per member.  Intersection is a single ``&`` and counting is one
 ``bit_count()`` — both C-speed over the whole set, regardless of how
 many elements match.  Handles (:class:`BitsetIds`) carry the sorted id
-tuple plus a lazily built mask, so the mask cost is paid once per set
-and only when a bit-parallel operation actually runs.
+tuple plus the mask, paid once per set: :func:`as_array` builds it up
+front (an adjacency handle exists to be intersected, and a pool worker
+forked after the parent warmed it inherits it built), while the slices
+and results the operations return build theirs only if a bit-parallel
+operation reads them.
 
 Negative ids cannot index bits; any operand containing them falls back
 to hash-set evaluation inside the same handle, keeping the backend
@@ -20,7 +23,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 class BitsetIds:
-    """Sorted duplicate-free ids + lazy big-int mask."""
+    """Sorted duplicate-free ids + big-int mask (built on first read)."""
 
     __slots__ = ("ids", "_mask", "_set")
 
@@ -77,7 +80,10 @@ def as_array(seq: Iterable[int]) -> BitsetIds:
     t = tuple(seq)
     if not all(t[i] < t[i + 1] for i in range(len(t) - 1)):
         t = tuple(sorted(set(t)))
-    return BitsetIds(t)
+    handle = BitsetIds(t)
+    if handle.bit_capable:
+        handle.mask  # built eagerly, see the module docstring
+    return handle
 
 
 def tolist(arr: BitsetIds) -> List[int]:

@@ -5,7 +5,8 @@ The bridge from "models the paper's cluster" to "is itself fast":
 execution="native")``) routes a job through :func:`run_native`, which
 executes the same tasks the simulator models across a multiprocess
 pool — chunks claimed off one shared cursor, the graph
-pickled once per worker, candidate-set work on the configured
+inherited at fork; pickled by ``multiprocessing`` under spawn,
+candidate-set work on the configured
 :mod:`repro.kernels` backend — and merges per-chunk outcomes by chunk
 id so results and total work-unit charges are bit-identical at any
 worker count, and (for every schedule-independent workload) to the

@@ -8,10 +8,13 @@ pool and returns an ordinary :class:`~repro.core.job.JobResult`:
 * the seed-vertex space is cut into chunks (``native_chunk_size``)
   that workers claim one at a time off a shared cursor (dynamic
   self-scheduling), so a straggler chunk never serialises the pool;
-* the graph (and app) is pickled **once** and shipped to each worker
-  at spawn, with the pickled payload and the chunk layout memoised in
-  the ambient :class:`~repro.parallel.cache.BuildCache` so repeated
-  native runs skip serialisation entirely;
+* the graph (and app) is inherited at fork; pickled by
+  ``multiprocessing`` under spawn.  Before spawning, the parent builds
+  every vertex's kernel handle for the job's backend on the graph's
+  vertex memo, so forked workers (respawns included) share one warm
+  copy instead of each rebuilding its own, and a second job on the
+  same graph starts warm.  The chunk layout is memoised in the ambient
+  :class:`~repro.parallel.cache.BuildCache`;
 * per-chunk outcomes are merged **by chunk id** — never by completion
   order — so the value, ``num_results`` and every stats entry are
   bit-identical at any worker count and under any claim order;
@@ -53,7 +56,7 @@ from repro.core.errors import JobCancelled, JobDeadlineExceeded
 from repro.core.job import JobResult, JobStatus
 from repro.graph.graph import Graph
 from repro.native.chaos import NativeFaultPlan
-from repro.native.runtime import execute_chunk, make_data_source
+from repro.native.runtime import execute_chunk
 from repro.native.supervisor import (
     DEFAULT_CHUNK_DEADLINE,
     DEFAULT_MAX_CHUNK_RETRIES,
@@ -82,18 +85,12 @@ def default_native_workers() -> int:
 
 
 def graph_payload(graph: Graph) -> bytes:
-    """The pickled graph, memoised in the active build cache.
+    """The graph as ``multiprocessing`` pickles it for a spawned worker.
 
-    Serialisation is the dominant setup cost of a pooled native run
-    (the graph ships once per worker); keying the bytes on the graph
-    fingerprint makes the second native run of the same graph a cache
-    hit.
+    A forked pool never builds this (workers inherit the graph); the
+    size is what the spawn start method ships per worker.
     """
-    build = lambda: pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
-    cache = get_build_cache()
-    if cache is None:
-        return build()
-    return cache.lookup("native-graph", {"graph": graph.fingerprint()}, build)
+    return pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def seed_chunks(graph: Graph, chunk_size: int) -> List[List[int]]:
@@ -238,27 +235,26 @@ def run_native(
         run_span = obs.tracer.begin(
             "native.run", cat="native", tid=MASTER_TID, workers=num_workers
         )
+    context = kernels.use_backend(backend) if backend else nullcontext()
     if (num_workers == 1 and fault_plan is None) or not chunks:
         # fault-free single-process fast path: no pool, no supervision
         # overhead — and the degenerate zero-chunk graph short-circuits
         # here too (nothing to supervise)
-        context = kernels.use_backend(backend) if backend else nullcontext()
-        data_of = make_data_source(graph)
         outcome_list = []
         with context:
             for chunk_id, chunk in enumerate(chunks):
                 check_cooperative()
-                outcome_list.append(
-                    execute_chunk(app, graph, chunk_id, chunk, data_of)
-                )
+                outcome_list.append(execute_chunk(app, graph, chunk_id, chunk))
     else:
-        ctx = _pool_context()
+        with context:
+            # warm once, before the fork: every worker (and respawn)
+            # inherits these handles with the graph
+            for vid in graph.vertices():
+                graph.vertex_data(vid).neighbors_array()
         supervisor = Supervisor(
-            ctx=ctx,
+            ctx=_pool_context(),
             app=app,
             graph=graph,
-            app_bytes=pickle.dumps(app, protocol=pickle.HIGHEST_PROTOCOL),
-            graph_bytes=graph_payload(graph),
             backend=backend,
             chunks=chunks,
             num_workers=num_workers,

@@ -21,7 +21,7 @@ guarantees hold by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.api import GMinerApp
 from repro.core.task import Task, TaskEnv
@@ -47,26 +47,15 @@ class ChunkOutcome:
 
 
 def make_data_source(graph: Graph) -> Callable[[int], VertexData]:
-    """Memoised ``graph.vertex_data`` for one worker process.
+    """The vertex source tasks read: ``graph.vertex_data``.
 
-    ``Graph.vertex_data`` packages a fresh :class:`VertexData` per
-    call, which would defeat the per-backend ``neighbors_array()``
-    conversion cache every single round; sharing one instance per
-    vertex across every task a worker runs amortises those conversions
-    exactly like the simulator's RCV cache does.  Read-only data, so
+    The graph memoises one :class:`VertexData` per vertex, so the
+    per-backend ``neighbors_array()`` conversion is paid once per
+    vertex and shared by every task, job and forked pool worker — the
+    native analogue of the simulator's RCV cache.  Read-only data, so
     sharing cannot change any result or charge.
     """
-    memo: Dict[int, VertexData] = {}
-    vertex_data = graph.vertex_data
-
-    def data_of(vid: int) -> VertexData:
-        data = memo.get(vid)
-        if data is None:
-            data = vertex_data(vid)
-            memo[vid] = data
-        return data
-
-    return data_of
+    return graph.vertex_data
 
 
 def run_task(
@@ -111,8 +100,8 @@ def execute_chunk(
 
     Mirrors the simulated task generator: every vertex is scanned (and
     its ``seed_cost`` charged) even when ``make_task`` declines it.
-    ``data_of`` is the (usually per-worker memoised) vertex source;
-    ``None`` falls back to uncached ``graph.vertex_data``.
+    ``data_of`` is the vertex source; ``None`` means
+    ``graph.vertex_data``.
     """
     outcome = ChunkOutcome(chunk_id=chunk_id)
     env = TaskEnv(worker_id=0, aggregated=None, push=outcome.offers.append)

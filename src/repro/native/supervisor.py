@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import queue as queue_mod
 import time
 import traceback
@@ -59,7 +58,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 from repro import kernels
 from repro.core.errors import JobCancelled, JobDeadlineExceeded
 from repro.native.chaos import FAULT_EXIT_CODE, HANG_FOREVER, NativeFaultPlan
-from repro.native.runtime import ChunkOutcome, execute_chunk, make_data_source
+from repro.native.runtime import ChunkOutcome, execute_chunk
 
 #: Engine defaults for the supervision knobs, used when the
 #: corresponding ``GMinerConfig`` field is ``None``.
@@ -137,8 +136,8 @@ def _claim(next_chunk, num_chunks: int, holders, leases, wid: int) -> Optional[i
 
 def _worker_main(
     wid: int,
-    app_bytes: bytes,
-    graph_bytes: bytes,
+    app,
+    graph,
     backend: Optional[str],
     chunks: List[List[int]],
     next_chunk,
@@ -160,11 +159,13 @@ def _worker_main(
     Injected faults fire at chunk pickup (crash/hang/slow) or as
     whole-chunk transient errors, never mid-chunk: a chunk either
     ships its complete deterministic outcome or nothing.
+
+    ``app`` and ``graph`` arrive as process arguments: inherited from
+    the parent at fork — together with the kernel handles the parent
+    warmed on the graph — and pickled by ``multiprocessing`` under
+    spawn.
     """
     try:
-        app = pickle.loads(app_bytes)
-        graph = pickle.loads(graph_bytes)
-        data_of = make_data_source(graph)
         claim_index = 0
 
         def execute_one(chunk_id: int, attempt: int) -> None:
@@ -188,9 +189,7 @@ def _worker_main(
                     out_queue.put(("chunk-error", wid, chunk_id, attempt, failure))
                     return
             try:
-                outcome = execute_chunk(
-                    app, graph, chunk_id, chunks[chunk_id], data_of
-                )
+                outcome = execute_chunk(app, graph, chunk_id, chunks[chunk_id])
             except Exception:
                 out_queue.put(
                     ("chunk-error", wid, chunk_id, attempt, traceback.format_exc())
@@ -260,8 +259,6 @@ class Supervisor:
         ctx,
         app,
         graph,
-        app_bytes: bytes,
-        graph_bytes: bytes,
         backend: Optional[str],
         chunks: List[List[int]],
         num_workers: int,
@@ -277,8 +274,6 @@ class Supervisor:
         self.ctx = ctx
         self.app = app
         self.graph = graph
-        self.app_bytes = app_bytes
-        self.graph_bytes = graph_bytes
         self.backend = backend
         self.chunks = chunks
         self.num_workers = num_workers
@@ -391,8 +386,8 @@ class Supervisor:
             target=_worker_main,
             args=(
                 wid,
-                self.app_bytes,
-                self.graph_bytes,
+                self.app,
+                self.graph,
                 self.backend,
                 self.chunks,
                 self.next_chunk,
@@ -652,7 +647,6 @@ class Supervisor:
         uniform and a poison chunk is still quarantined, never looped
         forever.
         """
-        data_of = make_data_source(self.graph)
         context = (
             kernels.use_backend(self.backend) if self.backend else nullcontext()
         )
@@ -676,7 +670,6 @@ class Supervisor:
                                 self.graph,
                                 chunk_id,
                                 self.chunks[chunk_id],
-                                data_of,
                             )
                             break
                         except Exception:

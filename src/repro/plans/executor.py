@@ -291,16 +291,14 @@ def count_plan_sequential(
     distributed job on any graph.
     """
     meter = meter if meter is not None else WorkMeter()
-    # one VertexData per vertex for the whole call: graph.vertex_data
-    # builds a fresh one (and re-converts its adjacency) on every access
-    known = {vid: graph.vertex_data(vid) for vid in sorted(graph.vertices())}
+    data_of = graph.vertex_data  # memoised per vertex on the graph
     total = 0
-    for vid, seed in known.items():
-        if not seed_admissible(seed, plan):
+    for vid in graph.vertices():
+        if not seed_admissible(data_of(vid), plan):
             continue
         out: Union[int, List[PartialImage]] = [(vid,)]
         for step in plan.steps:
-            out = run_step(out, step, known.__getitem__, meter.charge)
+            out = run_step(out, step, data_of, meter.charge)
             if not out:
                 break
         else:

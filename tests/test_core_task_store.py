@@ -221,6 +221,21 @@ class TestSpillReloadRoundTrip:
         assert {t.task_id for t in drained} == {t.task_id for t in tasks}
         assert len(store) == 0
 
+    def test_drain_all_mid_load_leaves_the_store_usable(self, sim, disk):
+        # a failure drains the store while a block load is in flight;
+        # that load never counts again, and the refilled store pops
+        store = make_store(disk, block_tasks=2, lsh=False)
+        store.insert_batch([StubTask([i]) for i in range(6)])
+        while store.pop() is not None:
+            pass
+        assert store.loading
+        store.drain_all()
+        assert not store.loading
+        fresh = [StubTask([i]) for i in range(6)]
+        store.insert_batch(fresh)
+        popped = self._drain(sim, store, 6)
+        assert {t.task_id for t in popped} == {t.task_id for t in fresh}
+
     def test_peek_all_sees_spilled_tasks(self, sim, disk):
         store = make_store(disk, block_tasks=2, lsh=False)
         tasks = [StubTask([i]) for i in range(8)]

@@ -1,5 +1,7 @@
 """Unit tests for the core Graph structure."""
 
+import pickle
+
 import pytest
 
 from repro.graph.graph import Graph, VertexData
@@ -120,3 +122,39 @@ class TestTransformations:
 
     def test_repr(self, tiny_graph):
         assert "|V|=6" in repr(tiny_graph)
+
+
+class TestVertexDataMemo:
+    def test_one_record_per_vertex(self, tiny_graph):
+        assert tiny_graph.vertex_data(1) is tiny_graph.vertex_data(1)
+
+    def test_label_change_after_a_read_is_visible(self, tiny_graph):
+        assert tiny_graph.vertex_data(0).label is None
+        tiny_graph.set_label(0, "a")
+        assert tiny_graph.vertex_data(0).label == "a"
+
+    def test_attribute_change_after_a_read_is_visible(self, tiny_graph):
+        assert tiny_graph.vertex_data(0).attributes == ()
+        tiny_graph.set_attributes(0, [3, 1])
+        assert tiny_graph.vertex_data(0).attributes == (3, 1)
+
+    def test_warm_graph_pickles_like_a_cold_one(self, small_social_graph):
+        from repro.apps import TriangleCountingApp
+        from repro.core import GMinerConfig, GMinerJob, JobStatus
+
+        graph = small_social_graph
+        cold = pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
+        config = GMinerConfig(
+            execution="native", native_workers=2, native_chunk_size=16
+        )
+        result = GMinerJob(TriangleCountingApp(), graph, config).run()
+        assert result.status is JobStatus.OK
+        assert result.native["workers"] == 2
+        assert graph._vertex_data  # the job warmed the memo
+        warm = pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
+        assert warm == cold
+        # a state without the memo (any pickle) loads into a working graph
+        copy = pickle.loads(warm)
+        assert "_vertex_data" not in copy.__getstate__()
+        assert copy._adj_views == {}
+        assert copy.vertex_data(3) == graph.vertex_data(3)

@@ -17,6 +17,8 @@ from repro.graph.algorithms import triangle_count_exact
 from repro.sim.cluster import ClusterSpec
 from repro.sim.failures import FailurePlan
 
+from .conftest import make_clustered_graph
+
 
 @pytest.fixture
 def config(small_spec):
@@ -67,6 +69,28 @@ def test_checkpoint_only_job_logs_no_migrated_tasks(small_social_graph, config):
     assert result.status is JobStatus.OK
     assert result.stats["tasks_migrated"] > 0
     assert all(not worker.recovery.sent_tasks for worker in job.workers)
+
+
+def test_failure_during_a_store_block_load_does_not_wedge_the_store():
+    # worker 0 dies while its task store is loading a block from disk;
+    # the load's callback never fires on the dead node, so the restore
+    # must not inherit the in-flight load
+    graph = make_clustered_graph()
+    config = GMinerConfig(
+        cluster=ClusterSpec(num_nodes=4, cores_per_node=1),
+        partitioner="bdg",
+        store_block_tasks=2,
+        steal_batch=4,
+        steal_local_rate_threshold=2.0,
+        steal_cost_threshold=1e9,
+        steal_retry_interval=0.002,
+        checkpoint_interval=0.01,
+        time_limit=20.0,
+    )
+    plan = FailurePlan(seed=0).kill(0, at_time=0.0605, recovery_delay=0.05)
+    result = GMinerJob(TriangleCountingApp(), graph, config, failure_plan=plan).run()
+    assert result.status is JobStatus.OK
+    assert result.value == triangle_count_exact(graph) == 726
 
 
 def test_stale_membership_view_is_ignored(small_social_graph, config):
