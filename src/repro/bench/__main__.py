@@ -50,8 +50,9 @@ def cmd_explain(names, execution=None, backend=None) -> int:
 
     Names are built-in workload ids (``tc``..``gc``) or motif names
     (``triangle``, ``tailed-triangle``, ...); the plan is compiled
-    against a small generated graph (plans are graph-independent, only
-    ``backend="auto"``'s density estimate reads it).
+    against a small generated graph (plans are graph-independent).
+    Every name prints the same ``backend:`` line: ``auto`` resolves
+    once per job, never per plan step.
     """
     import repro
     from repro.graph.generators import preferential_attachment_graph

@@ -138,19 +138,19 @@ class GMinerConfig:
     native_max_respawns: Optional[int] = None
 
     # -- set-operation kernels (repro.kernels) ---------------------------------
-    #: Backend for sorted-array set operations.  ``None`` keeps the
-    #: process-wide default (``REPRO_KERNEL_BACKEND`` or auto-detect);
-    #: "auto" re-resolves (numpy when importable, else reference);
-    #: "reference" / "numpy" / "bitset" force one.  Backends are
-    #: value- and work-unit-identical — this knob only affects
-    #: wall-clock speed.
+    #: Backend for sorted-array set operations, pinned for the whole
+    #: job.  ``None`` keeps the process-wide default (``auto`` unless
+    #: ``kernels.set_backend`` changed it); "auto" resolves once (numpy
+    #: when importable, else reference); "reference" / "numpy" /
+    #: "bitset" force one.  Backends are value- and
+    #: work-unit-identical — this knob only affects wall-clock speed.
     kernel_backend: Optional[str] = None
     #: Accuracy target for the ``sketch`` backend family, as an
     #: ``(epsilon, confidence)`` pair: estimates aim for relative error
     #: ``epsilon`` and every reported confidence interval targets
     #: ``confidence`` two-sided coverage.  ``None`` uses the sketch
     #: default ``(0.05, 0.95)``.  The pair maps monotonically to sketch
-    #: width (minwise ``k`` / bloom bits) — tighter accuracy costs more
+    #: width (minwise ``k``) — tighter accuracy costs more
     #: work units.  Only meaningful (and only accepted) with
     #: ``kernel_backend="sketch"``: the exact backends have no error to
     #: trade.
@@ -159,10 +159,6 @@ class GMinerConfig:
     #: per (graph, config, sketch_seed); varying the seed re-rolls the
     #: randomness for independent trials.  Sketch-backend-only.
     sketch_seed: int = 0
-    #: Sketch family: "minhash" (bottom-k, value-carrying — exact on
-    #: small sets, the default) or "bloom" (fixed-width bitmaps).
-    #: Sketch-backend-only.
-    sketch_method: Optional[str] = None
 
     def __post_init__(self) -> None:
         # Fail fast: a typo'd knob should surface here, at construction,
@@ -195,7 +191,6 @@ class GMinerConfig:
             epsilon=epsilon,
             confidence=confidence,
             seed=self.sketch_seed,
-            method=self.sketch_method or "minhash",
         )
 
     def validate(self) -> None:
@@ -300,13 +295,6 @@ class GMinerConfig:
                 from repro.kernels.sketch import validate_accuracy
 
                 validate_accuracy(epsilon, confidence)
-            if self.sketch_method is not None and self.sketch_method not in (
-                "minhash", "bloom",
-            ):
-                raise ValueError(
-                    f"unknown sketch_method {self.sketch_method!r}: expected "
-                    "None (minhash, the default), 'minhash' or 'bloom'"
-                )
             if not isinstance(self.sketch_seed, int) or isinstance(
                 self.sketch_seed, bool
             ):
@@ -317,13 +305,12 @@ class GMinerConfig:
             # the sketch knobs have no meaning on an exact backend;
             # silently accepting them would make an "approximate run"
             # that was actually exact look like a huge accuracy win
-            for knob in ("accuracy", "sketch_method"):
-                if getattr(self, knob) is not None:
-                    raise ValueError(
-                        f"{knob} only applies to kernel_backend='sketch' "
-                        f"(got kernel_backend={self.kernel_backend!r}); the "
-                        "exact backends have no error to trade"
-                    )
+            if self.accuracy is not None:
+                raise ValueError(
+                    f"accuracy only applies to kernel_backend='sketch' "
+                    f"(got kernel_backend={self.kernel_backend!r}); the "
+                    "exact backends have no error to trade"
+                )
             if self.sketch_seed != 0:
                 raise ValueError(
                     f"sketch_seed only applies to kernel_backend='sketch' "

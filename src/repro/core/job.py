@@ -138,7 +138,7 @@ class JobResult:
     #: ``stats`` entry of a native result is bit-deterministic.
     native: Optional[Dict[str, Any]] = None
     #: Approximation report (:class:`repro.kernels.sketch.EstimateReport`:
-    #: point, ci_low, ci_high, epsilon, confidence, method, sketch_seed)
+    #: point, ci_low, ci_high, epsilon, confidence, sketch_seed)
     #: when the job ran under ``kernel_backend="sketch"`` and the
     #: workload's result is an estimate; ``None`` on every exact run.
     #: ``value`` then carries the rounded point estimate, so exact
@@ -757,7 +757,6 @@ class GMinerJob:
                     ci_high=value.hi,
                     epsilon=params.epsilon,
                     confidence=params.confidence,
-                    method=params.method,
                     sketch_seed=params.seed,
                     exact=value.exact,
                 )

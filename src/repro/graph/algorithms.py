@@ -78,13 +78,14 @@ def triangle_count_exact(graph: Graph) -> int:
     Reference implementation used to validate the TC application and
     baselines; counts each triangle once using the ``u < v < w`` rule.
     """
-    view = graph.adjacency_view()
+    data_of = graph.vertex_data
     total = 0
-    for u, arr in view.items():
-        higher = kernels.slice_gt(arr, u)
+    for u in graph.vertices():
+        higher = kernels.slice_gt(data_of(u).neighbors_array(), u)
         for v in kernels.tolist(higher):
             total += kernels.intersect_count(
-                kernels.slice_gt(view[v], v), kernels.slice_gt(higher, v)
+                kernels.slice_gt(data_of(v).neighbors_array(), v),
+                kernels.slice_gt(higher, v),
             )
     return total
 

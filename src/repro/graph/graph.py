@@ -45,7 +45,8 @@ class VertexData:
         return len(self.neighbors)
 
     def neighbors_array(self) -> Any:
-        """Γ(v) as a kernel-backend array handle, cached per backend.
+        """Γ(v) as a kernel-backend array handle: the vertex's one
+        cached handle, rebuilt only when the active backend differs.
 
         The handle feeds :mod:`repro.kernels` set operations directly,
         so tasks probing the same pulled vertex repeatedly (every seed
@@ -58,20 +59,6 @@ class VertexData:
         arr = kernels.as_array(self.neighbors)
         object.__setattr__(self, "_neighbors_array", (backend, arr))
         return arr
-
-    def neighbors_sketch(self) -> Any:
-        """Γ(v)'s probabilistic sketch under the active sketch params.
-
-        The sketch (minwise or bloom, per the active
-        :class:`repro.kernels.sketch.SketchParams`) is memoised on the
-        sketch backend's array handle itself, so it rides the same
-        per-backend cache as :meth:`neighbors_array` — built once per
-        (vertex, params), shared by every task probing this vertex.
-        """
-        from repro.kernels import sketch
-
-        with kernels.use_backend("sketch"):
-            return sketch.sketch_of(self.neighbors_array())
 
     def estimate_size(self) -> int:
         """Serialised size estimate in bytes (network/memory cost model)."""
@@ -89,24 +76,26 @@ class Graph:
         self._adj: Dict[int, Tuple[int, ...]] = {}
         self._labels: Dict[int, str] = {}
         self._attrs: Dict[int, Tuple[int, ...]] = {}
-        # CSR-style cached views: backend name -> {vid: array handle}.
-        # Adjacency is immutable after construction (labels/attributes
-        # attach separately), so views never need invalidation.
-        self._adj_views: Dict[str, Dict[int, Any]] = {}
         # one VertexData per vertex (see vertex_data); a label or
         # attribute change drops that vertex's entry
         self._vertex_data: Dict[int, VertexData] = {}
 
     def __getstate__(self) -> Dict[str, Any]:
-        """Pickle the graph without its caches: both rebuild on demand,
-        and a warm graph pickles to the same bytes as a cold one."""
-        state = dict(self.__dict__)
-        state.pop("_vertex_data", None)
-        state["_adj_views"] = {}
-        return state
+        """Pickle the graph without its vertex memo, so a warm graph
+        pickles to the same bytes as a cold one.  The empty
+        ``_adj_views`` entry keeps the bytes of the earlier format,
+        whose graphs carried a per-backend view cache under that key."""
+        return {
+            "_adj": self._adj,
+            "_labels": self._labels,
+            "_attrs": self._attrs,
+            "_adj_views": {},
+        }
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
+        self._adj = state["_adj"]
+        self._labels = state["_labels"]
+        self._attrs = state["_attrs"]
         self._vertex_data = {}
 
     # -- construction -------------------------------------------------
@@ -198,48 +187,6 @@ class Graph:
         """Γ(v): the sorted adjacency tuple of ``vid``."""
         self._require(vid)
         return self._adj[vid]
-
-    def neighbors_array(self, vid: int) -> Any:
-        """Γ(v) as a kernel-backend array handle (cached).
-
-        Built lazily per vertex and memoised per active kernel backend,
-        so mining kernels stop rebuilding ``set(...)``/array copies of
-        the same adjacency on every seed.
-        """
-        self._require(vid)
-        view = self._adj_views.setdefault(kernels.get_backend(), {})
-        arr = view.get(vid)
-        if arr is None:
-            arr = kernels.as_array(self._adj[vid])
-            view[vid] = arr
-        return arr
-
-    def neighbors_sketch(self, vid: int) -> Any:
-        """Γ(v)'s probabilistic sketch under the active sketch params.
-
-        Cached alongside the sorted-array views: the sketch lives on
-        the sketch backend's cached handle for ``vid``, keyed by the
-        sketch shape, so repeated estimate queries against the same
-        vertex never rebuild it.
-        """
-        from repro.kernels import sketch
-
-        with kernels.use_backend("sketch"):
-            return sketch.sketch_of(self.neighbors_array(vid))
-
-    def adjacency_view(self) -> Dict[int, Any]:
-        """The whole adjacency as kernel-backend array handles.
-
-        A CSR-style snapshot ``{v: Γ(v) handle}`` covering every
-        vertex, cached per active backend; sequential kernels and
-        oracles iterate this instead of converting per seed.
-        """
-        view = self._adj_views.setdefault(kernels.get_backend(), {})
-        if len(view) != len(self._adj):
-            for vid, ns in self._adj.items():
-                if vid not in view:
-                    view[vid] = kernels.as_array(ns)
-        return view
 
     def degree(self, vid: int) -> int:
         """|Γ(v)|."""

@@ -26,12 +26,11 @@ computes the same results (and kernels charge the same work units)
 whichever backend is active — the property tests in
 ``tests/test_kernels.py`` enforce it.
 
-Selection: the ``REPRO_KERNEL_BACKEND`` environment variable
-(``auto``/``reference``/``numpy``/``bitset``) picks the process-wide
-default at import; :func:`set_backend` / :func:`use_backend` switch at
-runtime; ``GMinerConfig(kernel_backend=...)`` scopes a choice to one
-job.  ``auto`` means "numpy if importable, else reference" — a missing
-numpy degrades cleanly, it never breaks.
+Selection: the process-wide default at import is ``auto``;
+:func:`set_backend` / :func:`use_backend` switch at runtime, and
+``GMinerConfig(kernel_backend=...)`` scopes a choice to one job.
+``auto`` means "numpy if importable, else reference", resolved once
+per scope — a missing numpy degrades cleanly, it never breaks.
 
 Array handles returned by :func:`as_array` are backend-specific and
 opaque; convert with :func:`tolist` at boundaries.  ``len()`` works on
@@ -42,8 +41,6 @@ undefined — convert via :func:`tolist` when switching.
 from __future__ import annotations
 
 import contextlib
-import os
-import warnings
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.kernels import reference as _reference_mod
@@ -71,7 +68,6 @@ __all__ = [
     "set_sketch_params",
     "use_sketch_params",
     "set_metering_hook",
-    "DEFAULT_BACKEND_ENV",
 ]
 
 #: Optional observability hook ``hook(op: str, items: int)`` invoked
@@ -93,9 +89,6 @@ def set_metering_hook(hook):
     previous = _metering_hook
     _metering_hook = hook
     return previous
-
-#: Environment variable consulted once, at import, for the default.
-DEFAULT_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
 _BACKEND_NAMES = ("reference", "numpy", "bitset", "sketch")
 
@@ -178,24 +171,7 @@ def use_backend(name: Optional[str]) -> Iterator[str]:
         set_backend(previous)
 
 
-def _initial_backend() -> str:
-    requested = os.environ.get(DEFAULT_BACKEND_ENV, "auto").strip().lower()
-    if requested in ("", "auto"):
-        return _resolve_auto()
-    try:
-        _load_backend(requested)
-        return requested
-    except ValueError as exc:
-        warnings.warn(
-            f"{DEFAULT_BACKEND_ENV}={requested!r} unavailable ({exc}); "
-            "falling back to the reference backend",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "reference"
-
-
-_active_name = _initial_backend()
+_active_name = _resolve_auto()
 _active = _load_backend(_active_name)
 
 

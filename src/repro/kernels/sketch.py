@@ -3,28 +3,21 @@
 The fourth :mod:`repro.kernels` backend family: instead of computing
 set intersections exactly, it answers *estimate* queries from compact
 per-set sketches with two-sided confidence intervals, trading bounded
-error for work units.  Two sketch methods are implemented:
-
-* ``minhash`` (the default) — *bottom-k / k-minwise* sketches storing
-  the ``k`` smallest ``(hash, value)`` pairs of a set under a seeded
-  64-bit hash.  The bottom-k of a union is a uniform sample of the
-  union, so the fraction ``y/k`` of sampled elements that lie in both
-  sets estimates the Jaccard similarity ``J``; the intersection size
-  follows through the monotone transform ``|A∩B| = J·(|A|+|B|)/(1+J)``.
-  Storing values (not just hashes) buys two things ProbGraph exploits:
-  membership tests against a sketch are *exact* for union-sample
-  elements, and a set with at most ``k`` elements is captured in full —
-  its estimates degrade to exact answers with degenerate intervals.
-* ``bloom`` — fixed-width one-hash bitmaps (a linear-counting /
-  Bloom-filter hybrid): ``|A∪B|`` is estimated from the zero-bit count
-  of the OR'd bitmaps (``û = -m·ln(z/m)``), and the intersection via
-  inclusion-exclusion.  No value recovery, so no exactness floor; kept
-  as the space-efficient alternative for id-only workloads.
+error for work units.  The sketch is the *bottom-k / k-minwise* one
+(ProbGraph's MinHash): the ``k`` smallest ``(hash, value)`` pairs of a
+set under a seeded 64-bit hash.  The bottom-k of a union is a uniform
+sample of the union, so the fraction ``y/k`` of sampled elements that
+lie in both sets estimates the Jaccard similarity ``J``; the
+intersection size follows through the monotone transform
+``|A∩B| = J·(|A|+|B|)/(1+J)``.  Storing values (not just hashes) buys
+two things ProbGraph exploits: membership tests against a sketch are
+*exact* for union-sample elements, and a set with at most ``k``
+elements is captured in full — its estimates degrade to exact answers
+with degenerate intervals.
 
 Confidence intervals: the Jaccard proportion gets a Wilson score
 interval (well-behaved at ``y = 0``/``y = k``, unlike the normal
-approximation), mapped through the monotone count transform; bloom
-intervals use the linear-counting variance via the delta method.
+approximation), mapped through the monotone count transform.
 Batched estimates combine by summing points and variances (CLT), so
 aggregate relative error *concentrates* as the number of summed pair
 estimates grows — the regime TC and clustering coefficients live in.
@@ -38,9 +31,9 @@ exact primitive to the reference backend: a job pinned to
 ``kernel_backend="sketch"`` that never calls an estimate primitive is
 bit-identical to a reference run.  Array handles are
 :class:`SketchedIds` — reference ``SortedIds`` that additionally cache
-their sketch in the instance ``__dict__``, so the per-backend adjacency
-views on :class:`~repro.graph.graph.Graph`/``VertexData`` give
-per-vertex sketch caching for free.
+their sketch in the instance ``__dict__``, so a vertex's one
+``VertexData.neighbors_array()`` handle gives per-vertex sketch caching
+for free.
 """
 
 from __future__ import annotations
@@ -58,7 +51,6 @@ __all__ = [
     "SketchParams",
     "SketchedIds",
     "MinwiseSketch",
-    "BloomSketch",
     "Estimate",
     "EstimateReport",
     "exact_estimate",
@@ -92,10 +84,6 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _pow2ceil(x: int) -> int:
-    return 1 << max(0, (x - 1).bit_length())
-
-
 @dataclass(frozen=True)
 class SketchParams:
     """Accuracy knob → sketch shape, plus the hashing seed.
@@ -111,23 +99,15 @@ class SketchParams:
     positively correlated and the aggregate error floor is governed by
     per-sketch noise ``~1/√k``, not by the pair count.  ``z²/ε``
     places that floor at ``ε·z/√z² = ε``-scale relative error at the
-    ``z`` quantile on neighbourhood-sized Jaccards.  The bloom bitmap
-    gets ``m = pow2ceil(32k)`` bits.
+    ``z`` quantile on neighbourhood-sized Jaccards.
     """
 
     epsilon: float = DEFAULT_ACCURACY[0]
     confidence: float = DEFAULT_ACCURACY[1]
     seed: int = 0
-    method: str = "minhash"  # "minhash" | "bloom"
 
     def __post_init__(self) -> None:
         validate_accuracy(self.epsilon, self.confidence)
-        if self.method not in ("minhash", "bloom"):
-            raise ValueError(
-                f"unknown sketch method {self.method!r}: expected "
-                "'minhash' (bottom-k, value-carrying, the default) or "
-                "'bloom' (fixed-width bitmap)"
-            )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"sketch seed must be an int; got {self.seed!r}")
 
@@ -143,18 +123,9 @@ class SketchParams:
         return max(8, min(4096, math.ceil(z * z / self.epsilon)))
 
     @property
-    def bloom_bits(self) -> int:
-        """Bitmap width (a power of two) for the bloom method."""
-        return max(256, _pow2ceil(32 * self.k))
-
-    @property
     def salt(self) -> int:
         """The seeded hashing salt all sketches under these params share."""
         return splitmix64((self.seed & _MASK64) ^ 0xA24BAED4963EE407)
-
-    def cell_tag(self) -> str:
-        """Stable short id for bench/report cells."""
-        return f"eps{self.epsilon:g}-conf{self.confidence:g}-{self.method}"
 
 
 def validate_accuracy(epsilon: float, confidence: float) -> None:
@@ -291,7 +262,6 @@ class EstimateReport:
     ci_high: float
     epsilon: float
     confidence: float
-    method: str
     sketch_seed: int
     exact: bool = False
 
@@ -302,7 +272,6 @@ class EstimateReport:
             "ci_high": self.ci_high,
             "epsilon": self.epsilon,
             "confidence": self.confidence,
-            "method": self.method,
             "sketch_seed": self.sketch_seed,
             "exact": self.exact,
         }
@@ -396,53 +365,6 @@ class MinwiseSketch:
         return (self.k - 1) * (float(1 << 64) / kth)
 
 
-@dataclass(frozen=True)
-class BloomSketch:
-    """Fixed-width one-hash bitmap (linear-counting estimator).
-
-    One hash per element keeps the zero-bit count an unbiased
-    linear-counting statistic; ``m`` is shared by every sketch under
-    the same params so bitmaps OR together.
-    """
-
-    m: int
-    salt: int
-    bits: int
-    n: int
-
-    @classmethod
-    def build(cls, values: Iterable[int], m: int, salt: int) -> "BloomSketch":
-        bits = 0
-        n = 0
-        mask = m - 1  # m is a power of two
-        for v in values:
-            bits |= 1 << (splitmix64((v & _MASK64) ^ salt) & mask)
-            n += 1
-        return cls(m=m, salt=salt, bits=bits, n=n)
-
-    def contains(self, value: int) -> bool:
-        """Membership probe: no false negatives, seeded false positives."""
-        return bool(
-            self.bits >> (splitmix64((value & _MASK64) ^ self.salt) & (self.m - 1))
-            & 1
-        )
-
-    def union_bits(self, other: "BloomSketch") -> int:
-        if self.m != other.m or self.salt != other.salt:
-            raise ValueError("cannot combine bloom sketches with different params")
-        return self.bits | other.bits
-
-    def union_size_estimate(self, other: "BloomSketch") -> Tuple[float, float]:
-        """Linear-counting ``(û, std)`` for ``|A ∪ B|``."""
-        ones = self.union_bits(other).bit_count()
-        zeros = max(self.m - ones, 0.5)  # saturated bitmap: cap the estimate
-        t = zeros / self.m
-        u_hat = -self.m * math.log(t)
-        load = u_hat / self.m
-        var = self.m * (math.exp(load) - load - 1.0)
-        return u_hat, math.sqrt(max(var, 0.0))
-
-
 # ----------------------------------------------------------------------
 # handles and sketch caching
 # ----------------------------------------------------------------------
@@ -453,16 +375,9 @@ class SketchedIds(reference.SortedIds):
 
     Unlike ``SortedIds`` (``__slots__ = ()``), instances carry a
     ``__dict__``, so the sketch built for the active params is memoised
-    on the handle itself — the backend-keyed adjacency views on
-    ``Graph``/``VertexData`` then give per-vertex sketch caching with
-    no extra index.
+    on the handle itself — a vertex's one ``VertexData.neighbors_array()``
+    handle then gives per-vertex sketch caching with no extra index.
     """
-
-
-def _sketch_key(params: SketchParams) -> Tuple[Any, ...]:
-    if params.method == "bloom":
-        return ("bloom", params.salt, params.bloom_bits)
-    return ("minhash", params.salt, params.k)
 
 
 def sketch_of(handle: Any, params: Optional[SketchParams] = None) -> Any:
@@ -474,16 +389,13 @@ def sketch_of(handle: Any, params: Optional[SketchParams] = None) -> Any:
     so switching params mid-process rebuilds rather than corrupts.
     """
     params = params or get_params()
-    key = _sketch_key(params)
+    key = (params.salt, params.k)
     cache = getattr(handle, "__dict__", None)
     if cache is not None:
         hit = cache.get("_sketch")
         if hit is not None and hit[0] == key:
             return hit[1]
-    if params.method == "bloom":
-        sk: Any = BloomSketch.build(handle, params.bloom_bits, params.salt)
-    else:
-        sk = MinwiseSketch.build(handle, params.k, params.salt)
+    sk = MinwiseSketch.build(handle, params.k, params.salt)
     if cache is not None:
         cache["_sketch"] = (key, sk)
     return sk
@@ -548,13 +460,10 @@ def intersect_count_many(
 def _pair_charge(params: SketchParams, la: int, lb: int) -> int:
     """Work units one estimated pair charges: registers examined.
 
-    Minwise examines at most ``k`` registers per side; bloom touches
-    the whole fixed-width bitmap (both sides, 64-bit words).  Sketch
+    Minwise examines at most ``k`` registers per side.  Sketch
     *builds* are uncharged, like ``as_array`` conversions: they are
-    index construction, cached on the graph views across tasks.
+    index construction, cached on each vertex's handle across tasks.
     """
-    if params.method == "bloom":
-        return 2 * (params.bloom_bits // 64)
     return min(params.k, la) + min(params.k, lb)
 
 
@@ -586,31 +495,13 @@ def _minwise_pair_estimate(
     return Estimate(point=point, lo=lo, hi=hi, std=(hi - lo) / (2.0 * z))
 
 
-def _bloom_pair_estimate(
-    sa: BloomSketch, sb: BloomSketch, z: float
-) -> Estimate:
-    u_hat, std_u = sa.union_size_estimate(sb)
-    total = sa.n + sb.n
-    cap = float(min(sa.n, sb.n))
-    clamp = lambda x: min(max(x, 0.0), cap)  # noqa: E731
-    point = clamp(total - u_hat)
-    lo = clamp(total - (u_hat + z * std_u))
-    hi = clamp(total - (u_hat - z * std_u))
-    return Estimate(point=point, lo=lo, hi=hi, std=(hi - lo) / (2.0 * z))
-
-
 def _estimate_pair(a: Any, b: Any, params: SketchParams) -> Tuple[Estimate, int]:
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return exact_estimate(0), 0
     z = params.z
     charge = _pair_charge(params, la, lb)
-    if params.method == "bloom":
-        est = _bloom_pair_estimate(sketch_of(a, params), sketch_of(b, params), z)
-    else:
-        est = _minwise_pair_estimate(
-            sketch_of(a, params), sketch_of(b, params), z
-        )
+    est = _minwise_pair_estimate(sketch_of(a, params), sketch_of(b, params), z)
     return est, charge
 
 
@@ -642,8 +533,7 @@ def intersect_count_many_estimate(
     ``intersect_count_many`` charges ``Σ len(aᵢ)`` — the arrays side
     only, with the target amortised — so the sketch charges
     ``Σ min(k, len(aᵢ))`` plus the target's ``min(k, len(target))``
-    once per batch (bloom: bitmap words per array + once for the
-    target).
+    once per batch.
     """
     params = get_params()
     target = as_array(target)
@@ -652,12 +542,6 @@ def intersect_count_many_estimate(
     std = 0.0
     exact = True
     scanned = 0
-    if params.method == "bloom":
-        per_array = params.bloom_bits // 64
-        target_charge = params.bloom_bits // 64 if lt else 0
-    else:
-        per_array = None
-        target_charge = min(params.k, lt)
     any_pairs = False
     for raw in arrays:
         arr = as_array(raw)
@@ -667,11 +551,9 @@ def intersect_count_many_estimate(
         exact = exact and est.exact
         if len(arr) and lt:
             any_pairs = True
-            scanned += per_array if per_array is not None else min(
-                params.k, len(arr)
-            )
+            scanned += min(params.k, len(arr))
     if any_pairs:
-        scanned += target_charge
+        scanned += min(params.k, lt)
     if exact or std == 0.0:
         return Estimate(point=point, lo=point, hi=point, std=0.0, exact=exact), scanned
     half = params.z * std
@@ -706,22 +588,12 @@ def jaccard_ge(a: Any, b: Any, tau: float) -> Tuple[bool, int]:
         return True, 0  # J = 1.0 by convention, >= any valid tau
     params = get_params()
     charge = _pair_charge(params, la, lb)
-    z = params.z
-    if params.method == "minhash":
-        sa, sb = sketch_of(a, params), sketch_of(b, params)
-        if sa.full and sb.full:
-            return _exact_jaccard(a, b) >= tau, charge
-        union = sa.merge(sb)
-        y = sum(
-            1 for _, v in union.pairs if v in sa.value_set and v in sb.value_set
-        )
-        _, j_lo, j_hi = wilson_interval(y, len(union.pairs), z)
-    else:
-        est = _bloom_pair_estimate(sketch_of(a, params), sketch_of(b, params), z)
-        # J = I/(|A|+|B|-I) is monotone in I, so the interval maps through
-        total = la + lb
-        j_lo = est.lo / max(total - est.lo, 1.0)
-        j_hi = est.hi / max(total - est.hi, 1.0)
+    sa, sb = sketch_of(a, params), sketch_of(b, params)
+    if sa.full and sb.full:
+        return _exact_jaccard(a, b) >= tau, charge
+    union = sa.merge(sb)
+    y = sum(1 for _, v in union.pairs if v in sa.value_set and v in sb.value_set)
+    _, j_lo, j_hi = wilson_interval(y, len(union.pairs), params.z)
     if j_lo >= tau:
         return True, charge
     if j_hi < tau:
@@ -743,27 +615,21 @@ def weighted_similarity_estimate(
     bit — both sums run in ascending attribute order.  Larger sets use
     a ratio estimator over the bottom-k union sample: the sample is
     uniform over ``A ∪ B``, so the sampled weight ratio estimates the
-    population ratio (the union cardinality cancels).  The bloom
-    method recovers no values and falls back to the exact computation.
+    population ratio (the union cardinality cancels).
     """
     a, b = as_array(a), as_array(b)
     la, lb = len(a), len(b)
     params = get_params()
-    if params.method == "minhash":
-        sa, sb = sketch_of(a, params), sketch_of(b, params)
-        if not (sa.full and sb.full):
-            union = sa.merge(sb)
-            shared = [
-                v
-                for _, v in union.pairs
-                if v in sa.value_set and v in sb.value_set
-            ]
-            score = sum(weights.get(attr, 0.0) for attr in shared)
-            norm = sum(
-                weights.get(v, default_weight) for _, v in union.pairs
-            )
-            charge = _pair_charge(params, la, lb)
-            return (score / norm if norm else 0.0), charge
+    sa, sb = sketch_of(a, params), sketch_of(b, params)
+    if not (sa.full and sb.full):
+        union = sa.merge(sb)
+        shared = [
+            v for _, v in union.pairs if v in sa.value_set and v in sb.value_set
+        ]
+        score = sum(weights.get(attr, 0.0) for attr in shared)
+        norm = sum(weights.get(v, default_weight) for _, v in union.pairs)
+        charge = _pair_charge(params, la, lb)
+        return (score / norm if norm else 0.0), charge
     # exact path: ascending-order sums, identical to the exact kernels
     score = sum(
         weights.get(attr, 0.0) for attr in reference.intersect(a, b)

@@ -176,7 +176,7 @@ class NativeFaultPlan:
 
     # -- validation ----------------------------------------------------
 
-    def validate(self, num_workers: Optional[int] = None) -> None:
+    def validate(self) -> None:
         """Fail fast on malformed schedules; raise ``ValueError``.
 
         Worker/chunk ids are *not* bounds-checked (a spec naming a
@@ -227,11 +227,6 @@ class NativeFaultPlan:
                 f"random_chunk_errors rate must lie in [0, 1]; got "
                 f"{self.error_rate!r}"
             )
-        if num_workers is not None:
-            for spec in (*self.crashes, *self.hangs, *self.slows):
-                if spec.worker is not None and spec.worker >= num_workers:
-                    # informational leniency: allowed, it just never fires
-                    pass
 
     @staticmethod
     def _check_worker(worker: Optional[int], kind: str) -> None:

@@ -13,8 +13,7 @@ pool and returns an ordinary :class:`~repro.core.job.JobResult`:
   every vertex's kernel handle for the job's backend on the graph's
   vertex memo, so forked workers (respawns included) share one warm
   copy instead of each rebuilding its own, and a second job on the
-  same graph starts warm.  The chunk layout is memoised in the ambient
-  :class:`~repro.parallel.cache.BuildCache`;
+  same graph starts warm;
 * per-chunk outcomes are merged **by chunk id** — never by completion
   order — so the value, ``num_results`` and every stats entry are
   bit-identical at any worker count and under any claim order;
@@ -61,10 +60,10 @@ from repro.native.supervisor import (
     DEFAULT_CHUNK_DEADLINE,
     DEFAULT_MAX_CHUNK_RETRIES,
     DEFAULT_MAX_RESPAWNS,
+    SUPERVISION_TALLIES,
     Supervisor,
 )
 from repro.obs import MASTER_TID, ObsSession, current_collector
-from repro.parallel.cache import get_build_cache
 
 __all__ = [
     "default_native_workers",
@@ -79,11 +78,6 @@ def default_native_workers() -> int:
     return os.cpu_count() or 1
 
 
-# ----------------------------------------------------------------------
-# cached build artifacts
-# ----------------------------------------------------------------------
-
-
 def graph_payload(graph: Graph) -> bytes:
     """The graph as ``multiprocessing`` pickles it for a spawned worker.
 
@@ -94,20 +88,9 @@ def graph_payload(graph: Graph) -> bytes:
 
 
 def seed_chunks(graph: Graph, chunk_size: int) -> List[List[int]]:
-    """Seed vertices cut into ascending-id chunks (cached like the
-    partition assignment: a pure function of graph and chunk size)."""
-    def build() -> List[List[int]]:
-        vids = sorted(graph.vertices())
-        return [vids[i : i + chunk_size] for i in range(0, len(vids), chunk_size)]
-
-    cache = get_build_cache()
-    if cache is None:
-        return build()
-    return cache.lookup(
-        "native-chunks",
-        {"graph": graph.fingerprint(), "chunk_size": chunk_size},
-        build,
-    )
+    """Seed vertices cut into ascending-id chunks."""
+    vids = list(graph.vertices())
+    return [vids[i : i + chunk_size] for i in range(0, len(vids), chunk_size)]
 
 
 # ----------------------------------------------------------------------
@@ -119,17 +102,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     """Fork when available (cheap, no re-import); spawn elsewhere."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-_ZERO_DIAG = {
-    "crashes": 0,
-    "hangs": 0,
-    "retries": 0,
-    "respawns": 0,
-    "chunk_errors": 0,
-    "leases_expired": 0,
-    "fallback_chunks": 0,
-}
 
 
 def run_native(
@@ -230,53 +202,53 @@ def run_native(
 
     chunks = seed_chunks(graph, config.native_chunk_size)
     num_workers = max(1, min(num_workers, len(chunks) or 1))
-    diag: Dict[str, int] = dict(_ZERO_DIAG)
+    diag: Dict[str, int] = dict.fromkeys(SUPERVISION_TALLIES, 0)
     if obs is not None:
         run_span = obs.tracer.begin(
             "native.run", cat="native", tid=MASTER_TID, workers=num_workers
         )
-    context = kernels.use_backend(backend) if backend else nullcontext()
-    if (num_workers == 1 and fault_plan is None) or not chunks:
-        # fault-free single-process fast path: no pool, no supervision
-        # overhead — and the degenerate zero-chunk graph short-circuits
-        # here too (nothing to supervise)
-        outcome_list = []
-        with context:
+    with kernels.use_backend(backend) if backend else nullcontext():
+        # the backend the job runs under, named inside its scope
+        active_backend = kernels.get_backend()
+        if (num_workers == 1 and fault_plan is None) or not chunks:
+            # fault-free single-process fast path: no pool, no supervision
+            # overhead — and the degenerate zero-chunk graph short-circuits
+            # here too (nothing to supervise)
+            outcome_list = []
             for chunk_id, chunk in enumerate(chunks):
                 check_cooperative()
                 outcome_list.append(execute_chunk(app, graph, chunk_id, chunk))
-    else:
-        with context:
+        else:
             # warm once, before the fork: every worker (and respawn)
             # inherits these handles with the graph
             for vid in graph.vertices():
                 graph.vertex_data(vid).neighbors_array()
-        supervisor = Supervisor(
-            ctx=_pool_context(),
-            app=app,
-            graph=graph,
-            backend=backend,
-            chunks=chunks,
-            num_workers=num_workers,
-            fault_plan=fault_plan,
-            chunk_deadline=chunk_deadline,
-            max_chunk_retries=max_chunk_retries,
-            max_respawns=max_respawns,
-            obs=obs,
-            cancel=cancel,
-            job_deadline=job_deadline,
-            job_started=job_started,
-        )
-        if obs is not None:
-            supervise_span = obs.tracer.begin(
-                "native.supervise", cat="native", tid=MASTER_TID
+            supervisor = Supervisor(
+                ctx=_pool_context(),
+                app=app,
+                graph=graph,
+                backend=active_backend,
+                chunks=chunks,
+                num_workers=num_workers,
+                fault_plan=fault_plan,
+                chunk_deadline=chunk_deadline,
+                max_chunk_retries=max_chunk_retries,
+                max_respawns=max_respawns,
+                obs=obs,
+                cancel=cancel,
+                job_deadline=job_deadline,
+                job_started=job_started,
             )
-        try:
-            outcomes, diag = supervisor.run()
-        finally:
             if obs is not None:
-                obs.tracer.finish(supervise_span)
-        outcome_list = [outcomes[chunk_id] for chunk_id in range(len(chunks))]
+                supervise_span = obs.tracer.begin(
+                    "native.supervise", cat="native", tid=MASTER_TID
+                )
+            try:
+                outcomes, diag = supervisor.run()
+            finally:
+                if obs is not None:
+                    obs.tracer.finish(supervise_span)
+            outcome_list = [outcomes[chunk_id] for chunk_id in range(len(chunks))]
     wall_seconds = time.perf_counter() - started
 
     # deterministic reduction: chunk id (ascending seed id) order, never
@@ -318,7 +290,7 @@ def run_native(
         "workers": num_workers,
         "chunk_size": config.native_chunk_size,
         "wall_seconds": wall_seconds,
-        "backend": backend or kernels.get_backend(),
+        "backend": active_backend,
         # always 0 (one shared cursor); benchmarks/e2e/layers.py reads the key
         "steals": 0,
         **diag,

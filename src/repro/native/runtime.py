@@ -50,7 +50,7 @@ def make_data_source(graph: Graph) -> Callable[[int], VertexData]:
     """The vertex source tasks read: ``graph.vertex_data``.
 
     The graph memoises one :class:`VertexData` per vertex, so the
-    per-backend ``neighbors_array()`` conversion is paid once per
+    job backend's ``neighbors_array()`` conversion is paid once per
     vertex and shared by every task, job and forked pool worker — the
     native analogue of the simulator's RCV cache.  Read-only data, so
     sharing cannot change any result or charge.

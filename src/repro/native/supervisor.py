@@ -51,7 +51,6 @@ import queue as queue_mod
 import time
 import traceback
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -65,6 +64,19 @@ from repro.native.runtime import ChunkOutcome, execute_chunk
 DEFAULT_CHUNK_DEADLINE = 60.0
 DEFAULT_MAX_CHUNK_RETRIES = 2
 DEFAULT_MAX_RESPAWNS = 2
+
+#: The supervision tallies: ``Supervisor.diag``'s keys, and with them
+#: ``result.native``'s.  Each but ``fallback_chunks`` is also a
+#: ``native.<name>`` obs counter.
+SUPERVISION_TALLIES = (
+    "crashes",
+    "hangs",
+    "retries",
+    "respawns",
+    "chunk_errors",
+    "leases_expired",
+    "fallback_chunks",
+)
 
 #: Supervisor poll period: the latency of death/lease detection.
 #: Purely a control-plane cadence — results never depend on it.
@@ -138,7 +150,7 @@ def _worker_main(
     wid: int,
     app,
     graph,
-    backend: Optional[str],
+    backend: str,
     chunks: List[List[int]],
     next_chunk,
     holders,
@@ -197,8 +209,7 @@ def _worker_main(
                 return
             out_queue.put(("chunk", outcome))
 
-        context = kernels.use_backend(backend) if backend else nullcontext()
-        with context:
+        with kernels.use_backend(backend):
             while True:
                 chunk_id = _claim(next_chunk, len(chunks), holders, leases, wid)
                 if chunk_id is None:
@@ -259,7 +270,7 @@ class Supervisor:
         ctx,
         app,
         graph,
-        backend: Optional[str],
+        backend: str,
         chunks: List[List[int]],
         num_workers: int,
         fault_plan: Optional[NativeFaultPlan] = None,
@@ -311,28 +322,14 @@ class Supervisor:
         self.retry_q: Deque[int] = deque()
         self.quarantined: Set[int] = set()
 
-        self.diag: Dict[str, int] = {
-            "crashes": 0,
-            "hangs": 0,
-            "retries": 0,
-            "respawns": 0,
-            "chunk_errors": 0,
-            "leases_expired": 0,
-            "fallback_chunks": 0,
-        }
+        self.diag: Dict[str, int] = dict.fromkeys(SUPERVISION_TALLIES, 0)
         if obs is not None:
             # eagerly create the counters so even fault-free snapshots
             # carry explicit zeros for the supervision quantities
             self._obs_counters = {
                 key: obs.registry.counter(f"native.{key}")
-                for key in (
-                    "crashes",
-                    "hangs",
-                    "retries",
-                    "respawns",
-                    "chunk_errors",
-                    "leases_expired",
-                )
+                for key in SUPERVISION_TALLIES
+                if key != "fallback_chunks"
             }
         else:
             self._obs_counters = None
@@ -647,10 +644,7 @@ class Supervisor:
         uniform and a poison chunk is still quarantined, never looped
         forever.
         """
-        context = (
-            kernels.use_backend(self.backend) if self.backend else nullcontext()
-        )
-        with context:
+        with kernels.use_backend(self.backend):
             for chunk_id in range(len(self.chunks)):
                 if self._done(chunk_id):
                     continue

@@ -17,7 +17,7 @@ through the plan compiler and the generic executor.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 from repro import kernels
 from repro.core.config import GMinerConfig
@@ -26,7 +26,7 @@ from repro.graph.graph import Graph
 from repro.mining.patterns import TreePattern
 from repro.plans.builtins import builtin_plan
 from repro.plans.compiler import ExecutionPlan, compile_pattern
-from repro.plans.executor import PlanApp, select_step_backends
+from repro.plans.executor import PlanApp
 from repro.plans.query import PatternQuery, motif
 
 _BACKEND_CHOICES = (None, "auto", "reference", "numpy", "bitset", "sketch")
@@ -60,12 +60,7 @@ def resolve_pattern(pattern: Any) -> ExecutionPlan:
     )
 
 
-def _explain_text(
-    describe: str,
-    config: GMinerConfig,
-    backend: Optional[str],
-    step_backends: Optional[Tuple[str, ...]],
-) -> str:
+def _explain_text(describe: str, config: GMinerConfig) -> str:
     """The ``explain=True`` report: plan text + execution/backend lines."""
     lines = [describe]
     if config.execution == "native":
@@ -78,14 +73,11 @@ def _explain_text(
         )
     else:
         lines.append("execution: sim")
-    if step_backends is not None:
-        lines.append("backend: auto (per-step: " + ", ".join(step_backends) + ")")
-    elif backend == "auto":
-        lines.append("backend: auto")
-    else:
-        lines.append(
-            f"backend: {backend or config.kernel_backend or kernels.get_backend()}"
-        )
+    backend = config.kernel_backend
+    if backend == "auto":
+        with kernels.use_backend("auto") as resolved:
+            backend = f"auto ({resolved})"
+    lines.append(f"backend: {backend or kernels.get_backend()}")
     return "\n".join(lines)
 
 
@@ -126,7 +118,7 @@ def prepare_job(
         config = config.replace(execution=execution)
     if deadline is not None:
         config = config.replace(job_deadline=deadline)
-    if backend is not None and backend != "auto":
+    if backend is not None:
         config = config.replace(kernel_backend=backend)
 
     if config.kernel_backend == "sketch":
@@ -146,7 +138,6 @@ def prepare_job(
                 "'auto') for this workload"
             )
 
-    step_backends: Optional[Tuple[str, ...]] = None
     if workload is not None:
         if pattern is not None:
             # alongside workload=, pattern= is a workload option (gm's
@@ -154,10 +145,6 @@ def prepare_job(
             options["pattern"] = pattern
         bp = builtin_plan(workload)
         app = bp.build_app(graph, **options)
-        if backend == "auto":
-            # the legacy growers run one kernel level; defer to the
-            # runtime's own density-based auto resolution
-            config = config.replace(kernel_backend="auto")
     else:
         if options:
             raise TypeError(
@@ -165,10 +152,7 @@ def prepare_job(
                 "take no extra options — encode constraints in the "
                 "PatternQuery itself"
             )
-        plan = resolve_pattern(pattern)
-        if backend == "auto":
-            step_backends = select_step_backends(plan, graph)
-        app = PlanApp(plan, step_backends=step_backends)
+        app = PlanApp(resolve_pattern(pattern))
     return GMinerJob(app, graph, config, failure_plan)
 
 
@@ -202,11 +186,10 @@ def mine(
     ``execution`` overrides ``config.execution`` (``"sim"`` runs the
     modelled cluster, ``"native"`` runs the multiprocess engine —
     bit-identical per DESIGN.md's equivalence contract).  ``backend``
-    picks the kernel backend: an explicit name pins every level (exact
-    legacy behaviour); ``"auto"`` lets the compiler choose per plan
-    step from candidate-set density (pattern path) or defers to the
-    runtime's density heuristic (workload path).  Explicit backends
-    and ``backend=None`` are untouched by the auto machinery.
+    picks the kernel backend for the whole job
+    (``config.replace(kernel_backend=backend)``): ``"auto"`` resolves
+    once, to numpy when importable, else reference; ``None`` keeps
+    ``config.kernel_backend``.
 
     ``explain=True`` runs *nothing*: it returns the compiled plan
     description (or a one-line note for plan-less legacy workloads)
@@ -241,9 +224,7 @@ def mine(
         app = job.app
         if isinstance(app, PlanApp):
             describe = app.plan.describe()
-            step_backends = app.step_backends
         else:
-            step_backends = None
             if pattern is not None:
                 options["pattern"] = pattern
             query = builtin_plan(workload).query(**options)
@@ -254,5 +235,5 @@ def mine(
                     f"workload {workload!r}: legacy grower "
                     "(no fixed-pattern plan)"
                 )
-        return _explain_text(describe, job.config, backend, step_backends)
+        return _explain_text(describe, job.config)
     return job.run()

@@ -48,25 +48,13 @@ from repro.plans.compiler import CompiledStep, ExecutionPlan
 PartialImage = Tuple[int, ...]
 _INF = float("inf")  # absent order bound; vertex ids may be negative
 
-#: Candidate-set density (estimated candidates / id universe) above
-#: which the bitset backend wins a level: bitmap intersection costs
-#: ~universe/64 words regardless of set size, array intersection costs
-#: ~set size — dense levels favour the former, sparse deep levels the
-#: latter.
+# Unused in src; kept because benchmarks/e2e/layers.py imports the function.
 BITSET_DENSITY_THRESHOLD = 0.05
 
 
 def select_step_backends(plan: ExecutionPlan, graph: Graph) -> Tuple[str, ...]:
-    """Density-driven per-level backend choice (``backend="auto"``).
-
-    Estimates the candidate set entering each step — the average
-    adjacency list, thinned by the graph's edge density once per extra
-    intersected source — and picks the bitset backend for levels whose
-    candidates stay dense in the id universe, the best array backend
-    (numpy when importable) for the rest.  Backends are value- and
-    work-unit-identical, so the selection can only change wall-clock
-    time, never results or charges.
-    """
+    """A per-step density guess at the fastest backend (bitset for dense
+    candidate sets, numpy or reference for sparse ones); no job reads it."""
     available = kernels.available_backends()
     array_backend = "numpy" if "numpy" in available else "reference"
     universe = max(1, graph.num_vertices)
@@ -165,15 +153,9 @@ def seed_admissible(vertex: VertexData, plan: ExecutionPlan) -> bool:
 class PlanTask(Task):
     """Multi-round task: one plan step per round (cf. ``GMTask``)."""
 
-    def __init__(
-        self,
-        seed: VertexData,
-        plan: ExecutionPlan,
-        step_backends: Optional[Tuple[str, ...]] = None,
-    ) -> None:
+    def __init__(self, seed: VertexData, plan: ExecutionPlan) -> None:
         super().__init__(seed)
         self.plan = plan
-        self.step_backends = step_backends
         self.partials: List[PartialImage] = [(seed.vid,)]
         self.known: Dict[int, VertexData] = {seed.vid: seed}
         self.pull(self._needed_for(plan.steps[0]))
@@ -205,7 +187,6 @@ class PlanTask(Task):
             child = PlanTask.__new__(PlanTask)
             Task.__init__(child, self.seed)
             child.plan = self.plan
-            child.step_backends = self.step_backends
             child.partials = list(chunk)
             child.known = dict(self.known)
             child.round = self.round
@@ -228,14 +209,7 @@ class PlanTask(Task):
     def update(self, cand_objs: Dict[int, VertexData], env: TaskEnv) -> None:
         self.known.update(cand_objs)
         step = self.plan.steps[self.round - 1]
-        # per-level backend selection (backend="auto"): the running
-        # round's step may prefer a different set representation; with
-        # no selection the ambient backend applies unchanged
-        backend = kernels.get_backend()
-        if self.step_backends is not None:
-            backend = self.step_backends[self.round - 1]
-        with kernels.use_backend(backend):
-            out = run_step(self.partials, step, self.known.__getitem__, self.charge)
+        out = run_step(self.partials, step, self.known.__getitem__, self.charge)
         if step.counting or not out:
             self.finish(out or None)
             return
@@ -251,30 +225,14 @@ class PlanApp(GMinerApp):
     the plan was compiled with ``symmetry="auto"``).
     """
 
-    def __init__(
-        self,
-        plan: ExecutionPlan,
-        step_backends: Optional[Tuple[str, ...]] = None,
-    ) -> None:
+    def __init__(self, plan: ExecutionPlan) -> None:
         self.plan = plan
-        #: Per-level kernel backend overrides (``backend="auto"``), one
-        #: per plan step; ``None`` leaves the ambient backend alone.
-        self.step_backends = (
-            tuple(step_backends) if step_backends is not None else None
-        )
-        if self.step_backends is not None and len(self.step_backends) != len(
-            plan.steps
-        ):
-            raise ValueError(
-                f"step_backends must name one backend per plan step "
-                f"({len(plan.steps)}); got {len(self.step_backends)}"
-            )
         self.name = f"plan:{plan.name}"
 
     def make_task(self, vertex: VertexData) -> Optional[Task]:
         if not seed_admissible(vertex, self.plan):
             return None
-        return PlanTask(vertex, self.plan, self.step_backends)
+        return PlanTask(vertex, self.plan)
 
     def combine_results(self, results: Iterable[Optional[int]]) -> int:
         return sum(r for r in results if r is not None)

@@ -156,5 +156,56 @@ class TestVertexDataMemo:
         # a state without the memo (any pickle) loads into a working graph
         copy = pickle.loads(warm)
         assert "_vertex_data" not in copy.__getstate__()
-        assert copy._adj_views == {}
+        assert not hasattr(copy, "_adj_views")
         assert copy.vertex_data(3) == graph.vertex_data(3)
+
+    #: sha256 of ``graph_payload(PA(60, 4, seed=7))`` in the format graphs
+    #: have always pickled to: the spawn payload and
+    #: ``native.payload_bytes`` must never move.
+    PA_PAYLOAD_SHA256 = (
+        "6003d5fdc028a40d9c4e5f94308c3f25396c37f97429a2b303343cb8259ff0f3"
+    )
+
+    def test_payload_bytes_are_pinned_cold_and_warm(self):
+        import hashlib
+
+        import repro
+        from repro.core import GMinerConfig
+        from repro.graph.generators import preferential_attachment_graph
+        from repro.native import graph_payload
+
+        graph = preferential_attachment_graph(n=60, m=4, seed=7)
+
+        def digest() -> str:
+            return hashlib.sha256(graph_payload(graph)).hexdigest()
+
+        assert digest() == self.PA_PAYLOAD_SHA256
+        config = GMinerConfig(
+            execution="native", native_workers=2, native_chunk_size=8
+        )
+        for backend in ("bitset", "auto"):
+            result = repro.mine(
+                graph, pattern="tailed-triangle", config=config, backend=backend
+            )
+            assert result.native["workers"] == 2
+        assert len(graph._vertex_data) == graph.num_vertices
+        assert digest() == self.PA_PAYLOAD_SHA256
+
+    def test_earlier_format_state_drops_its_view_cache(self, tiny_graph):
+        """A graph pickled with a filled per-backend view cache (dataset
+        pickles in an older build cache) loads without it."""
+        state = {
+            "_adj": dict(tiny_graph._adj),
+            "_labels": {0: "a"},
+            "_attrs": {1: (2, 5)},
+            "_adj_views": {"reference": {0: (1, 2)}},
+        }
+        graph = Graph.__new__(Graph)
+        graph.__setstate__(state)
+        assert not hasattr(graph, "_adj_views")
+        assert graph.vertex_data(0).label == "a"
+        assert graph.vertex_data(1).attributes == (2, 5)
+        assert graph.neighbors(2) == tiny_graph.neighbors(2)
+        assert pickle.loads(pickle.dumps(graph)).__getstate__() == {
+            **state, "_adj_views": {}
+        }

@@ -25,6 +25,7 @@ import os
 import pytest
 
 import repro
+from repro import kernels
 from repro.apps import (
     CommunityDetectionApp,
     GraphClusteringApp,
@@ -35,10 +36,9 @@ from repro.apps import (
 )
 from repro.core.config import GMinerConfig
 from repro.core.job import GMinerJob, JobStatus
+from repro.graph.graph import VertexData
 from repro.graph.generators import random_attributes
 from repro.native import run_native, seed_chunks
-from repro.parallel import BuildCache
-from repro.parallel.cache import set_build_cache
 from repro.plans import PlanApp, compile_pattern, motif
 from repro.sim.cluster import ClusterSpec
 from repro.sim.failures import FailurePlan
@@ -199,23 +199,6 @@ def test_native_diagnostics_live_outside_stats():
     for key in ("crashes", "hangs", "retries", "respawns", "chunk_errors",
                 "leases_expired", "fallback_chunks"):
         assert result.native[key] == 0, key
-
-
-def test_build_cache_hit_on_second_native_run():
-    graph = make_clustered_graph()
-    cache = BuildCache(persist=False)
-    previous = set_build_cache(cache)
-    try:
-        _native(TriangleCountingApp, graph, 2)
-        after_first = dict(cache.stats())
-        _native(TriangleCountingApp, graph, 2)
-        after_second = dict(cache.stats())
-    finally:
-        set_build_cache(previous)
-    # the chunk layout is the one cached build artifact (workers inherit
-    # the graph, nothing pickles it): built once, then reused
-    assert (after_first["hits"], after_first["misses"]) == (0, 1)
-    assert (after_second["hits"], after_second["misses"]) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -488,6 +471,54 @@ def test_auto_backend_selects_per_step(small_social_graph):
     )
 
 
+@pytest.mark.parametrize("execution", ["sim", "native"])
+def test_auto_backend_resolves_once_per_job(monkeypatch, execution):
+    """``backend="auto"`` is one backend for the whole job: every
+    VertexData handle the job reads is built under it, none is
+    re-converted between plan steps."""
+    touched = []
+    neighbors_array = VertexData.neighbors_array
+
+    def spy(data):
+        handle = neighbors_array(data)
+        touched.append(data.__dict__["_neighbors_array"][0])
+        return handle
+
+    monkeypatch.setattr(VertexData, "neighbors_array", spy)
+    with kernels.use_backend("auto") as resolved:
+        pass
+    graph = make_clustered_graph()
+    config = GMinerConfig(execution=execution)
+    if execution == "native":
+        config = config.replace(native_workers=1)  # in-process: the spy sees it
+    result = repro.mine(
+        graph, pattern="tailed-triangle", backend="auto", config=config
+    )
+    assert result.ok
+    assert touched and set(touched) == {resolved}
+
+
+def test_native_reports_the_backend_it_ran_under(small_social_graph):
+    with kernels.use_backend("auto") as resolved:
+        pass
+    tc = repro.mine(
+        small_social_graph, workload="tc", execution="native", backend="auto"
+    )
+    assert tc.native["backend"] == resolved
+    # a process default other than the job's must not leak into the report
+    with kernels.use_backend("bitset"):
+        plan = repro.mine(
+            small_social_graph, pattern="tailed-triangle",
+            config=GMinerConfig(execution="native", native_workers=1),
+            backend="auto",
+        )
+        default = repro.mine(
+            small_social_graph, workload="tc", execution="native"
+        )
+    assert plan.native["backend"] == resolved
+    assert default.native["backend"] == "bitset"
+
+
 def test_mine_rejects_unknown_backend(small_social_graph):
     with pytest.raises(ValueError, match="backend"):
         repro.mine(small_social_graph, workload="tc", backend="cuda")
@@ -501,7 +532,15 @@ def test_explain_returns_text_without_running(small_social_graph):
     assert isinstance(text, str)
     assert "plan 'tailed-triangle'" in text
     assert "execution: native" in text
-    assert "backend: auto (per-step:" in text
+    with kernels.use_backend("auto") as resolved:
+        pass
+    line = f"backend: auto ({resolved})"
+    assert line in text.splitlines()
+    tc_auto = repro.mine(
+        small_social_graph, workload="tc",
+        execution="native", backend="auto", explain=True,
+    )
+    assert line in tc_auto.splitlines()
     legacy = repro.mine(small_social_graph, workload="mcf", explain=True)
     assert "legacy grower" in legacy
     assert "execution: sim" in legacy

@@ -4,7 +4,7 @@ The algebra first — deterministic seeded builds, order independence,
 commutative/associative merges, exactness on fully captured sets — then
 the statistics: error shrinks monotonically with sketch width, Wilson
 intervals are well-formed, independent pair estimates hit their stated
-coverage, bloom filters never report false negatives.  The backend's
+coverage.  The backend's
 *exact* operation surface (everything other than the estimate
 primitives) is also pinned against the reference backend: the sketch
 backend must be a pure superset, not a fork.
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.kernels import reference
 from repro.kernels.sketch import (
-    BloomSketch,
     Estimate,
     MinwiseSketch,
     SketchParams,
@@ -196,27 +195,6 @@ def test_wilson_interval_is_well_formed(y, n, z):
         assert lo <= p + 1e-12 and p - 1e-12 <= hi
     else:
         assert (p, lo, hi) == (0.0, 0.0, 1.0)
-
-
-# ------------------------------------------------------------ bloom
-
-
-@given(value_sets, salts)
-def test_bloom_has_no_false_negatives(values, salt):
-    sk = BloomSketch.build(values, 256, salt)
-    assert all(sk.contains(v) for v in values)
-    assert sk.n == len(values)
-
-
-@given(value_sets, value_sets, salts)
-def test_bloom_union_estimate_bounds(xs, ys, salt):
-    a = BloomSketch.build(xs, 1024, salt)
-    b = BloomSketch.build(ys, 1024, salt)
-    u_hat, std = a.union_size_estimate(b)
-    assert u_hat >= 0.0 and std >= 0.0
-    # linear counting on a lightly loaded bitmap is near-exact
-    truth = len(set(xs) | set(ys))
-    assert abs(u_hat - truth) <= max(4.0, 0.2 * truth)
 
 
 # --------------------------------------------------- estimates algebra

@@ -122,10 +122,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="confidence"):
             GMinerConfig(kernel_backend="sketch", accuracy=(0.05, confidence))
 
-    def test_bad_method_fails_fast(self):
-        with pytest.raises(ValueError, match="sketch_method"):
-            GMinerConfig(kernel_backend="sketch", sketch_method="hll")
-
     def test_bool_sketch_seed_rejected(self):
         with pytest.raises(ValueError, match="sketch_seed"):
             GMinerConfig(kernel_backend="sketch", sketch_seed=True)
@@ -133,8 +129,6 @@ class TestConfigValidation:
     def test_sketch_knobs_rejected_on_exact_backends(self):
         with pytest.raises(ValueError, match="accuracy"):
             GMinerConfig(kernel_backend="reference", accuracy=(0.05, 0.95))
-        with pytest.raises(ValueError, match="sketch_method"):
-            GMinerConfig(kernel_backend="bitset", sketch_method="minhash")
         with pytest.raises(ValueError, match="sketch_seed"):
             GMinerConfig(kernel_backend="reference", sketch_seed=7)
 
@@ -147,11 +141,10 @@ class TestConfigValidation:
             kernel_backend="sketch",
             accuracy=(0.1, 0.9),
             sketch_seed=5,
-            sketch_method="bloom",
         )
         params = config.sketch_params()
         assert (params.epsilon, params.confidence) == (0.1, 0.9)
-        assert params.seed == 5 and params.method == "bloom"
+        assert params.seed == 5
 
     def test_sketch_params_default_accuracy(self):
         from repro.kernels.sketch import DEFAULT_ACCURACY
