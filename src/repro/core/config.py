@@ -119,7 +119,7 @@ class GMinerConfig:
     #: Pool size for native execution; ``None`` uses every host core.
     #: Results never depend on this — only wall-clock time does.
     native_workers: Optional[int] = None
-    #: Seed vertices per self-scheduled chunk in native mode.  Purely a
+    #: Seed vertices per dispatched chunk in native mode.  Purely a
     #: scheduling granularity: results and charges are chunk-invariant.
     native_chunk_size: int = 64
     #: Native supervision: wall-clock seconds a worker may hold one

@@ -79,6 +79,8 @@ class Graph:
         # one VertexData per vertex (see vertex_data); a label or
         # attribute change drops that vertex's entry
         self._vertex_data: Dict[int, VertexData] = {}
+        # fingerprint() memo; a label or attribute change clears it
+        self._fingerprint: Optional[str] = None
 
     def __getstate__(self) -> Dict[str, Any]:
         """Pickle the graph without its vertex memo, so a warm graph
@@ -97,6 +99,7 @@ class Graph:
         self._labels = state["_labels"]
         self._attrs = state["_attrs"]
         self._vertex_data = {}
+        self._fingerprint = None
 
     # -- construction -------------------------------------------------
 
@@ -131,6 +134,7 @@ class Graph:
         self._require(vid)
         self._labels[vid] = label
         self._vertex_data.pop(vid, None)
+        self._fingerprint = None
 
     def set_labels(self, labels: Dict[int, str]) -> None:
         """Attach labels in bulk."""
@@ -142,6 +146,7 @@ class Graph:
         self._require(vid)
         self._attrs[vid] = tuple(attributes)
         self._vertex_data.pop(vid, None)
+        self._fingerprint = None
 
     def set_all_attributes(self, attrs: Dict[int, Sequence[int]]) -> None:
         """Attach attribute lists in bulk."""
@@ -259,7 +264,10 @@ class Graph:
         Covers adjacency, labels and attributes, so any two graphs with
         the same fingerprint produce identical partition assignments
         and mining results; used as a build-cache key component.
+        Computed once and memoised until a label or attribute changes.
         """
+        if self._fingerprint is not None:
+            return self._fingerprint
         import hashlib
 
         h = hashlib.sha256()
@@ -274,7 +282,8 @@ class Graph:
             if attrs:
                 h.update(b"A" + ",".join(map(str, attrs)).encode())
             h.update(b"\n")
-        return h.hexdigest()[:24]
+        self._fingerprint = h.hexdigest()[:24]
+        return self._fingerprint
 
     # -- transformations -----------------------------------------------
 

@@ -4,7 +4,7 @@ The bridge from "models the paper's cluster" to "is itself fast":
 ``GMinerConfig(execution="native")`` (or ``repro.mine(...,
 execution="native")``) routes a job through :func:`run_native`, which
 executes the same tasks the simulator models across a multiprocess
-pool — chunks claimed off one shared cursor, the graph
+pool — the parent dispatches chunks to idle workers, the graph
 inherited at fork; pickled by ``multiprocessing`` under spawn,
 candidate-set work on the configured
 :mod:`repro.kernels` backend — and merges per-chunk outcomes by chunk

@@ -16,8 +16,8 @@ processes*:
   before executing that chunk; ``duration=None`` stalls until the
   supervisor's lease deadline expires and the process is terminated;
 * ``slow(worker, delay)`` — the worker sleeps ``delay`` seconds before
-  every chunk (a straggler, exercising self-scheduling and lease
-  margins without tripping them);
+  every chunk (a straggler, exercising dispatch to idle workers and
+  lease margins without tripping them);
 * ``flaky_chunk(chunk_id, failures=n)`` — the first ``n`` execution
   attempts of that chunk raise a transient error (survivable iff
   ``n <= native_max_chunk_retries``, else the chunk is quarantined and

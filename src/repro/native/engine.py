@@ -6,8 +6,8 @@ simulator models — the six legacy workloads and any compiled
 pool and returns an ordinary :class:`~repro.core.job.JobResult`:
 
 * the seed-vertex space is cut into chunks (``native_chunk_size``)
-  that workers claim one at a time off a shared cursor (dynamic
-  self-scheduling), so a straggler chunk never serialises the pool;
+  that the parent dispatches one at a time to whichever worker is
+  idle, so a straggler chunk never serialises the pool;
 * the graph (and app) is inherited at fork; pickled by
   ``multiprocessing`` under spawn.  Before spawning, the parent builds
   every vertex's kernel handle for the job's backend on the graph's
@@ -16,7 +16,9 @@ pool and returns an ordinary :class:`~repro.core.job.JobResult`:
   same graph starts warm;
 * per-chunk outcomes are merged **by chunk id** — never by completion
   order — so the value, ``num_results`` and every stats entry are
-  bit-identical at any worker count and under any claim order;
+  bit-identical at any worker count and under any dispatch order;
+* a fault-free single-worker job runs in-process, through the
+  supervisor's serial loop, with no process, pipe or shared object;
 * the pool runs under the :mod:`~repro.native.supervisor`: worker
   deaths, hangs (chunk-lease deadlines) and transient chunk errors are
   retried/respawned within bounded budgets, poison chunks surface a
@@ -51,16 +53,13 @@ from typing import Any, Dict, List, Optional
 from repro import kernels
 from repro.core.api import GMinerApp
 from repro.core.config import GMinerConfig
-from repro.core.errors import JobCancelled, JobDeadlineExceeded
 from repro.core.job import JobResult, JobStatus
 from repro.graph.graph import Graph
 from repro.native.chaos import NativeFaultPlan
-from repro.native.runtime import execute_chunk
 from repro.native.supervisor import (
     DEFAULT_CHUNK_DEADLINE,
     DEFAULT_MAX_CHUNK_RETRIES,
     DEFAULT_MAX_RESPAWNS,
-    SUPERVISION_TALLIES,
     Supervisor,
 )
 from repro.obs import MASTER_TID, ObsSession, current_collector
@@ -109,13 +108,12 @@ def run_native(
     graph: Graph,
     config: Optional[GMinerConfig] = None,
     failure_plan: Any = None,
-    workers: Optional[int] = None,
     cancel: Any = None,
 ) -> JobResult:
     """Execute ``app`` on ``graph`` for real; returns a JobResult.
 
-    ``workers`` overrides ``config.native_workers`` (``None`` → every
-    host core).  ``failure_plan`` accepts a
+    ``config.native_workers`` sizes the pool (``None`` → every host
+    core).  ``failure_plan`` accepts a
     :class:`~repro.native.chaos.NativeFaultPlan` (real process-level
     chaos, supervised and retried); simulated ``FailurePlan`` objects
     are refused.  The returned result mirrors the simulated one where
@@ -129,9 +127,9 @@ def run_native(
 
     ``cancel`` is an optional ``threading.Event``-like object (anything
     with ``is_set()``); when it fires, the run stops cooperatively —
-    between chunks on the single-process fast path, on the next
-    supervisor tick on the pooled path — tears the pool down through
-    the supervisor's terminate+join+drain shutdown, and raises a
+    between chunks in-process, on the next supervisor tick in the
+    pool — tears the pool down through
+    the supervisor's terminate+join shutdown, and raises a
     structured :class:`~repro.core.errors.JobCancelled`.  A set
     ``config.job_deadline`` bounds *wall-clock* seconds from this call
     the same cooperative way, raising
@@ -153,7 +151,7 @@ def run_native(
                 "process-level faults (crashes, hangs, transient chunk "
                 "errors) into the native pool"
             )
-    num_workers = workers or config.native_workers or default_native_workers()
+    num_workers = config.native_workers or default_native_workers()
     backend = config.kernel_backend
     chunk_deadline = (
         config.native_chunk_deadline
@@ -182,27 +180,11 @@ def run_native(
 
     started = time.perf_counter()
     job_started = time.monotonic()
-    job_deadline = config.job_deadline
-
-    def check_cooperative() -> None:
-        # cancellation/deadline checkpoints for the fast path: between
-        # chunks, never mid-chunk (chunk outcomes stay pure)
-        if cancel is not None and cancel.is_set():
-            raise JobCancelled(app.name)
-        if (
-            job_deadline is not None
-            and time.monotonic() - job_started >= job_deadline
-        ):
-            raise JobDeadlineExceeded(
-                app.name,
-                job_deadline,
-                elapsed=time.monotonic() - job_started,
-                clock="wall-clock",
-            )
-
     chunks = seed_chunks(graph, config.native_chunk_size)
     num_workers = max(1, min(num_workers, len(chunks) or 1))
-    diag: Dict[str, int] = dict.fromkeys(SUPERVISION_TALLIES, 0)
+    # a pool only when there is something to run in parallel, or
+    # process-level faults to inject into worker processes
+    pooled = bool(chunks) and (num_workers > 1 or fault_plan is not None)
     if obs is not None:
         run_span = obs.tracer.begin(
             "native.run", cat="native", tid=MASTER_TID, workers=num_workers
@@ -210,45 +192,37 @@ def run_native(
     with kernels.use_backend(backend) if backend else nullcontext():
         # the backend the job runs under, named inside its scope
         active_backend = kernels.get_backend()
-        if (num_workers == 1 and fault_plan is None) or not chunks:
-            # fault-free single-process fast path: no pool, no supervision
-            # overhead — and the degenerate zero-chunk graph short-circuits
-            # here too (nothing to supervise)
-            outcome_list = []
-            for chunk_id, chunk in enumerate(chunks):
-                check_cooperative()
-                outcome_list.append(execute_chunk(app, graph, chunk_id, chunk))
-        else:
+        if pooled:
             # warm once, before the fork: every worker (and respawn)
             # inherits these handles with the graph
             for vid in graph.vertices():
                 graph.vertex_data(vid).neighbors_array()
-            supervisor = Supervisor(
-                ctx=_pool_context(),
-                app=app,
-                graph=graph,
-                backend=active_backend,
-                chunks=chunks,
-                num_workers=num_workers,
-                fault_plan=fault_plan,
-                chunk_deadline=chunk_deadline,
-                max_chunk_retries=max_chunk_retries,
-                max_respawns=max_respawns,
-                obs=obs,
-                cancel=cancel,
-                job_deadline=job_deadline,
-                job_started=job_started,
+        supervisor = Supervisor(
+            ctx=_pool_context() if pooled else None,
+            app=app,
+            graph=graph,
+            backend=active_backend,
+            chunks=chunks,
+            num_workers=num_workers,
+            fault_plan=fault_plan,
+            chunk_deadline=chunk_deadline,
+            max_chunk_retries=max_chunk_retries,
+            max_respawns=max_respawns,
+            obs=obs,
+            cancel=cancel,
+            job_deadline=config.job_deadline,
+            job_started=job_started,
+        )
+        if obs is not None:
+            supervise_span = obs.tracer.begin(
+                "native.supervise", cat="native", tid=MASTER_TID
             )
+        try:
+            outcomes, diag = supervisor.run()
+        finally:
             if obs is not None:
-                supervise_span = obs.tracer.begin(
-                    "native.supervise", cat="native", tid=MASTER_TID
-                )
-            try:
-                outcomes, diag = supervisor.run()
-            finally:
-                if obs is not None:
-                    obs.tracer.finish(supervise_span)
-            outcome_list = [outcomes[chunk_id] for chunk_id in range(len(chunks))]
+                obs.tracer.finish(supervise_span)
+        outcome_list = [outcomes[chunk_id] for chunk_id in range(len(chunks))]
     wall_seconds = time.perf_counter() - started
 
     # deterministic reduction: chunk id (ascending seed id) order, never
@@ -291,7 +265,8 @@ def run_native(
         "chunk_size": config.native_chunk_size,
         "wall_seconds": wall_seconds,
         "backend": active_backend,
-        # always 0 (one shared cursor); benchmarks/e2e/layers.py reads the key
+        # always 0 (the parent dispatches every chunk);
+        # benchmarks/e2e/layers.py reads the key
         "steals": 0,
         **diag,
     }

@@ -13,7 +13,7 @@ Tasks execute *pure*: ``env.aggregated`` stays ``None`` (so MCF's
 branch-and-bound bound starts at 0 and never tightens across tasks)
 and aggregator offers are collected in seed order and merged by the
 parent.  Per-chunk outcomes are therefore a function of the chunk's
-vertices alone — independent of worker count, claim order and
+vertices alone — independent of worker count, dispatch order and
 completion order, which is what makes the engine's bit-identity
 guarantees hold by construction.
 """

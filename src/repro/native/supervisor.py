@@ -7,18 +7,17 @@ master-side control loop that survives everything short of the parent
 process dying:
 
 * **liveness** — worker processes are watched by exitcode; a death
-  (OOM kill, segfault, injected ``os._exit``) forfeits every chunk the
+  (OOM kill, segfault, injected ``os._exit``) forfeits the chunk the
   worker held and triggers a bounded respawn;
-* **chunk leases** — each claimed chunk carries a wall-clock lease in
-  shared memory, written under the claim lock; a worker that holds a
-  chunk past ``native_chunk_deadline`` is presumed hung, terminated,
-  and its chunks forfeited;
+* **chunk leases** — the parent stamps every attempt it dispatches; a
+  worker that holds a chunk past ``native_chunk_deadline`` is presumed
+  hung, terminated, and its chunk forfeited;
 * **retry with reassignment** — forfeited and transiently-failed
-  chunks are re-dispatched to idle workers with an explicit attempt
-  number; because chunk outcomes are pure functions of the chunk's
-  seed vertices, a retried chunk's outcome is bit-identical to what
-  the first attempt would have produced, so the merged result never
-  depends on the fault schedule;
+  chunks are dispatched again, to any idle worker, with an explicit
+  attempt number; because chunk outcomes are pure functions of the
+  chunk's seed vertices, a retried chunk's outcome is bit-identical to
+  what the first attempt would have produced, so the merged result
+  never depends on the fault schedule;
 * **poison quarantine** — a chunk that exhausts
   ``native_max_chunk_retries`` is quarantined with its per-attempt
   error log; the run then fails with a structured
@@ -30,28 +29,35 @@ process dying:
   (the final fallback), so ``mine()`` returns either the exact answer
   or a precise diagnosis.
 
-Workers self-schedule off one shared chunk cursor.  Chunk outcomes are
-pure and merged by chunk id, so the claim order protects no contract;
-the cursor outlives any individual worker, so a surviving or respawned
-worker claims the chunks a dead one never started, and only
-*claimed-but-unfinished* chunks need the supervisor's retry path.  The
-lease follows the claim: a chunk is leased to whichever worker took it,
-so that worker's failure charges (and retries) the chunk exactly once.
+Dispatch is parent-side, like the paper's master: the supervisor keeps
+a ``pending`` queue of chunk ids and a ``held`` map from worker id to
+``(chunk id, attempt, dispatch time)``, and sends every attempt, first
+or retry, as ``("exec", chunk_id, attempt)`` down an idle worker's own
+pipe.  The worker's reply frees it; a dead or hung worker forfeits
+exactly its ``held`` entry.  Chunk outcomes are pure and merged by
+chunk id, so the dispatch order protects no contract: a scheduling
+policy is an order of ``pending``.
+
+A job with nothing to run in parallel (one worker and no fault plan,
+or no chunks at all) is built with ``ctx=None`` and runs the same
+serial loop the fallback uses, with the same retries and quarantine,
+and without creating any process, queue or shared object.
 
 Every message a worker emits may be lost at an abrupt death (that is
-what abrupt death means); the supervisor relies on shared memory plus
-exitcodes, never on a farewell message, for correctness.
+what abrupt death means); the supervisor relies on its own ``held``
+map plus exitcodes, never on a farewell message, for correctness.
+Each worker has its own pipe, so a death mid-reply tears only that
+worker's channel, never a lock its siblings need.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue as queue_mod
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import kernels
@@ -66,8 +72,7 @@ DEFAULT_MAX_CHUNK_RETRIES = 2
 DEFAULT_MAX_RESPAWNS = 2
 
 #: The supervision tallies: ``Supervisor.diag``'s keys, and with them
-#: ``result.native``'s.  Each but ``fallback_chunks`` is also a
-#: ``native.<name>`` obs counter.
+#: ``result.native``'s.  Each is also a ``native.<name>`` obs counter.
 SUPERVISION_TALLIES = (
     "crashes",
     "hangs",
@@ -123,27 +128,11 @@ class NativeChunkError(RuntimeError):
         super().__init__("\n".join(lines))
 
 
+
+
 # ----------------------------------------------------------------------
 # the pool worker
 # ----------------------------------------------------------------------
-
-
-def _claim(next_chunk, num_chunks: int, holders, leases, wid: int) -> Optional[int]:
-    """Take the next unclaimed chunk id and record the lease, all under
-    one lock.
-
-    The lease — holder id plus a monotonic claim timestamp — is written
-    inside the same critical section that advances the cursor, so the
-    supervisor can never observe a claimed chunk without its lease.
-    """
-    with next_chunk.get_lock():
-        chunk_id = next_chunk.value
-        if chunk_id >= num_chunks:
-            return None
-        next_chunk.value = chunk_id + 1
-        holders[chunk_id] = wid
-        leases[chunk_id] = time.monotonic()
-        return chunk_id
 
 
 def _worker_main(
@@ -152,85 +141,59 @@ def _worker_main(
     graph,
     backend: str,
     chunks: List[List[int]],
-    next_chunk,
-    holders,
-    leases,
     fault_plan: Optional[NativeFaultPlan],
-    feed,
-    out_queue,
+    conn,
 ) -> None:
-    """Pool-worker loop: self-schedule until dry, then serve retries.
+    """Pool-worker loop: announce ``ready``, then run each ``("exec",
+    chunk_id, attempt)`` off the worker's own pipe until told to stop.
 
-    Phase 1 claims chunks off the shared cursor.  Once the cursor runs
-    past the last chunk the worker announces ``idle`` and blocks on its
-    feed for supervisor-dispatched retries (``("exec", chunk_id,
-    attempt)``) until told to stop.  Respawned workers run the same
-    loop — phase 1 lets them pick up chunks a dead sibling never
-    started.
-
-    Injected faults fire at chunk pickup (crash/hang/slow) or as
+    Every reply — ``chunk`` or ``chunk-error`` — frees the worker for
+    the next dispatch.  Injected faults fire at chunk pickup
+    (crash/hang/slow, keyed by the worker's pickup count) or as
     whole-chunk transient errors, never mid-chunk: a chunk either
     ships its complete deterministic outcome or nothing.
 
-    ``app`` and ``graph`` arrive as process arguments: inherited from
-    the parent at fork — together with the kernel handles the parent
-    warmed on the graph — and pickled by ``multiprocessing`` under
-    spawn.
+    The pipe is this worker's alone: no lock is shared with its
+    siblings, so a worker killed mid-reply can tear only its own
+    channel.  ``app`` and ``graph`` arrive as process arguments:
+    inherited from the parent at fork — together with the kernel
+    handles the parent warmed on the graph — and pickled by
+    ``multiprocessing`` under spawn.
     """
     try:
-        claim_index = 0
-
-        def execute_one(chunk_id: int, attempt: int) -> None:
-            nonlocal claim_index
-            my_claim = claim_index
-            claim_index += 1
-            if fault_plan is not None:
-                delay = fault_plan.slow_delay(wid)
-                if delay > 0.0:
-                    time.sleep(delay)
-                action = fault_plan.claim_action(wid, my_claim)
-                if action is not None:
-                    kind, duration = action
-                    if kind == "crash":
-                        # abrupt: no atexit, no queue flush — buffered
-                        # messages die with us, like a real OOM kill
-                        os._exit(FAULT_EXIT_CODE)
-                    time.sleep(duration if duration is not None else HANG_FOREVER)
-                failure = fault_plan.chunk_failure(chunk_id, attempt)
-                if failure is not None:
-                    out_queue.put(("chunk-error", wid, chunk_id, attempt, failure))
-                    return
-            try:
-                outcome = execute_chunk(app, graph, chunk_id, chunks[chunk_id])
-            except Exception:
-                out_queue.put(
-                    ("chunk-error", wid, chunk_id, attempt, traceback.format_exc())
-                )
-                return
-            out_queue.put(("chunk", outcome))
-
         with kernels.use_backend(backend):
-            while True:
-                chunk_id = _claim(next_chunk, len(chunks), holders, leases, wid)
-                if chunk_id is None:
-                    break
-                execute_one(chunk_id, 0)
-            out_queue.put(("idle", wid))
-            while True:
-                command = feed.get()
-                if command[0] == "stop":
-                    break
-                _, chunk_id, attempt = command
-                with next_chunk.get_lock():
-                    # refresh the lease at execution start: dispatch
-                    # latency must not eat into the chunk's deadline
-                    leases[chunk_id] = time.monotonic()
-                execute_one(chunk_id, attempt)
-                out_queue.put(("idle", wid))
-        out_queue.put(("done", wid))
+            # the lease clock starts at dispatch, so dispatch only to a
+            # worker that is up (spawn start-up would eat the deadline)
+            conn.send(("ready",))
+            for claim_index, (_, chunk_id, attempt) in enumerate(
+                iter(conn.recv, ("stop",))
+            ):
+                error = None
+                if fault_plan is not None:
+                    delay = fault_plan.slow_delay(wid)
+                    if delay > 0.0:
+                        time.sleep(delay)
+                    action = fault_plan.claim_action(wid, claim_index)
+                    if action is not None:
+                        kind, duration = action
+                        if kind == "crash":
+                            # abrupt: no atexit, no flush — like a real
+                            # OOM kill
+                            os._exit(FAULT_EXIT_CODE)
+                        time.sleep(duration if duration is not None else HANG_FOREVER)
+                    error = fault_plan.chunk_failure(chunk_id, attempt)
+                if error is None:
+                    try:
+                        outcome = execute_chunk(app, graph, chunk_id, chunks[chunk_id])
+                    except Exception:
+                        error = traceback.format_exc()
+                    else:
+                        conn.send(("chunk", outcome))
+                        continue
+                conn.send(("chunk-error", chunk_id, attempt, error))
     except BaseException:  # ship the traceback; never hang the parent
         try:
-            out_queue.put(("fatal", wid, traceback.format_exc()))
+            conn.send(("fatal", traceback.format_exc()))
         except Exception:
             pass
 
@@ -246,22 +209,32 @@ class _Worker:
 
     wid: int
     proc: Any
-    feed: Any
-    idle: bool = False
-    stopping: bool = False
+    #: The parent's end of the worker's duplex pipe.
+    conn: Any
+    ready: bool = False
+    #: The pipe hit EOF or a torn message: the worker is dying, and the
+    #: reaper charges its chunk once the exitcode shows.
+    closed: bool = False
+
+
+def _terminate(proc) -> None:
+    proc.terminate()
+    proc.join(1.0)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(1.0)
 
 
 class Supervisor:
     """Master-side control loop for one supervised native run.
 
     Construct, then call :meth:`run` exactly once.  ``run`` returns
-    ``(outcomes, diagnostics)`` — outcomes keyed by chunk id, merged
-    first-result-wins (chunk outcomes are pure, so duplicates are
-    byte-identical) — or raises :class:`NativeChunkError` after full
-    pool teardown when chunks were quarantined.  Any exception path
-    (including ``KeyboardInterrupt``) terminates and joins every child
-    and drains the queues: no orphan workers, no leaked feeder
-    threads.
+    ``(outcomes, diagnostics)`` — outcomes keyed by chunk id — or
+    raises :class:`NativeChunkError` after full pool teardown when
+    chunks were quarantined.  Any exception path (including
+    ``KeyboardInterrupt``) terminates and joins every child: no orphan
+    workers.  ``ctx=None`` runs every chunk in-process instead of in a
+    pool of ``num_workers``.
     """
 
     def __init__(
@@ -295,50 +268,43 @@ class Supervisor:
         self.obs = obs
         #: Cooperative cancellation: an ``is_set()``-bearing object
         #: (typically ``threading.Event``) checked every control-loop
-        #: tick; raising out of the loop routes through ``run()``'s
-        #: ``except BaseException`` arm, i.e. the same terminate+join+
-        #: drain teardown every other abnormal exit takes.
+        #: tick and before every in-process chunk; raising out of the
+        #: loop routes through ``run()``'s ``except BaseException`` arm,
+        #: i.e. the same terminate+join teardown every other abnormal
+        #: exit takes.
         self.cancel = cancel
         #: Wall-clock job deadline in seconds since ``job_started``
         #: (a ``time.monotonic()`` stamp), checked on the same cadence.
         self.job_deadline = job_deadline
         self.job_started = job_started if job_started is not None else time.monotonic()
 
-        n = len(chunks)
-        #: The shared cursor: id of the next chunk nobody has claimed.
-        self.next_chunk = ctx.Value("l", 0, lock=True)
-        self.lock = self.next_chunk.get_lock()
-        self.holders = ctx.Array("l", [-1] * max(n, 1), lock=False)
-        self.leases = ctx.Array("d", [0.0] * max(n, 1), lock=False)
-        self.out_queue = ctx.Queue()
-
+        #: Chunk ids awaiting dispatch, first attempts then retries.
+        self.pending: Deque[int] = deque(range(len(chunks)))
+        #: worker id → (chunk id, attempt, dispatch time): the leases.
+        self.held: Dict[int, Tuple[int, int, float]] = {}
         self.workers: Dict[int, _Worker] = {}
         self.exited: List[Any] = []
         self.next_wid = 0
 
         self.outcomes: Dict[int, ChunkOutcome] = {}
-        self.attempts: List[int] = [0] * n
+        self.attempts: List[int] = [0] * len(chunks)
         self.errors: Dict[int, List[str]] = {}
-        self.retry_q: Deque[int] = deque()
         self.quarantined: Set[int] = set()
 
         self.diag: Dict[str, int] = dict.fromkeys(SUPERVISION_TALLIES, 0)
-        if obs is not None:
-            # eagerly create the counters so even fault-free snapshots
-            # carry explicit zeros for the supervision quantities
-            self._obs_counters = {
-                key: obs.registry.counter(f"native.{key}")
-                for key in SUPERVISION_TALLIES
-                if key != "fallback_chunks"
-            }
-        else:
-            self._obs_counters = None
+        # eagerly created, so even fault-free snapshots carry explicit
+        # zeros for the supervision quantities
+        self._obs_counters = (
+            {key: obs.registry.counter(f"native.{key}") for key in SUPERVISION_TALLIES}
+            if obs is not None
+            else None
+        )
 
     # -- bookkeeping ---------------------------------------------------
 
     def _count(self, key: str, n: int = 1) -> None:
         self.diag[key] += n
-        if self._obs_counters is not None and key in self._obs_counters:
+        if self._obs_counters is not None:
             self._obs_counters[key].inc(n)
 
     def _remaining(self) -> int:
@@ -347,17 +313,27 @@ class Supervisor:
     def _done(self, chunk_id: int) -> bool:
         return chunk_id in self.outcomes or chunk_id in self.quarantined
 
+    def _started(self, chunk_id: int, attempt: int, tid: int) -> None:
+        """Tally an attempt beyond a chunk's first as a retry."""
+        if attempt == 0:
+            return
+        self._count("retries")
+        if self.obs is not None:
+            self.obs.tracer.instant(
+                "native.retry", cat="native", tid=tid, chunk=chunk_id, attempt=attempt
+            )
+
     # -- lifecycle -----------------------------------------------------
 
     def run(self) -> Tuple[Dict[int, ChunkOutcome], Dict[str, int]]:
         try:
-            for _ in range(self.num_workers):
-                self._spawn()
-            self._loop()
-            if self._remaining() > 0 and not self.workers:
-                # the pool is gone and the respawn budget is spent:
-                # finish what is left in-process, serially
-                self._serial_fallback()
+            if self.ctx is not None:
+                for _ in range(self.num_workers):
+                    self._spawn()
+                self._loop()
+            # without a pool, every chunk; after one, only what is left
+            # once the pool is gone and the respawn budget is spent
+            self._run_serial()
         except BaseException:
             self._shutdown(graceful=False)
             raise
@@ -378,7 +354,7 @@ class Supervisor:
     def _spawn(self) -> _Worker:
         wid = self.next_wid
         self.next_wid += 1
-        feed = self.ctx.Queue()
+        conn, child_conn = self.ctx.Pipe()
         proc = self.ctx.Process(
             target=_worker_main,
             args=(
@@ -387,27 +363,24 @@ class Supervisor:
                 self.graph,
                 self.backend,
                 self.chunks,
-                self.next_chunk,
-                self.holders,
-                self.leases,
                 self.fault_plan,
-                feed,
-                self.out_queue,
+                child_conn,
             ),
             daemon=True,
         )
-        worker = _Worker(wid=wid, proc=proc, feed=feed)
+        worker = _Worker(wid=wid, proc=proc, conn=conn)
         self.workers[wid] = worker
         proc.start()
+        child_conn.close()
         return worker
 
     def _check_cancelled(self) -> None:
         """Raise if the caller cancelled the run or its deadline passed.
 
-        Called once per control-loop tick and between serial-fallback
+        Called once per control-loop tick and between in-process
         chunks; both raise sites sit inside ``run()``'s ``except
         BaseException`` scope, so the pool is fully torn down (no
-        orphan children, queues drained) before the error escapes.
+        orphan children) before the error escapes.
         """
         if self.cancel is not None and self.cancel.is_set():
             raise JobCancelled(getattr(self.app, "name", "native job"))
@@ -424,38 +397,42 @@ class Supervisor:
     def _loop(self) -> None:
         while self._remaining() > 0 and self.workers:
             self._check_cancelled()
-            try:
-                message = self.out_queue.get(timeout=_TICK)
-            except queue_mod.Empty:
-                message = None
-            if message is not None:
-                self._on_message(message)
-                while True:
-                    try:
-                        self._on_message(self.out_queue.get_nowait())
-                    except queue_mod.Empty:
-                        break
+            listening = {
+                w.conn: w for w in self.workers.values() if not w.closed
+            }
+            if listening:
+                for conn in wait(list(listening), timeout=_TICK):
+                    self._receive(listening[conn])
+            else:
+                time.sleep(_TICK)
             self._reap_dead()
             self._expire_leases()
-            self._dispatch_retries()
+            self._dispatch()
 
     # -- message handling ----------------------------------------------
 
-    def _on_message(self, message: Tuple) -> None:
+    def _receive(self, worker: _Worker) -> None:
+        """Handle every message waiting on one worker's pipe."""
+        while worker.wid in self.workers and worker.conn.poll():
+            try:
+                message = worker.conn.recv()
+            except Exception:  # EOF or a reply torn by an abrupt death
+                worker.closed = True
+                return
+            self._on_message(worker.wid, message)
+
+    def _on_message(self, wid: int, message: Tuple) -> None:
         kind = message[0]
-        if kind == "chunk":
-            outcome = message[1]
-            chunk_id = outcome.chunk_id
-            if chunk_id not in self.outcomes:
-                # first result wins; a quarantined chunk that somehow
-                # still delivered (a hung worker racing its own
-                # termination) is rescued — exact answers beat diagnoses
-                self.quarantined.discard(chunk_id)
-                self.outcomes[chunk_id] = outcome
+        if kind == "ready":
+            self.workers[wid].ready = True
+        elif kind == "chunk":
+            # only the holder can deliver a chunk, and a reaped worker's
+            # pipe is never read again: each chunk completes once
+            del self.held[wid]
+            self.outcomes[message[1].chunk_id] = message[1]
         elif kind == "chunk-error":
-            _, wid, chunk_id, attempt, error = message
-            if wid not in self.workers:
-                return  # stale message from a worker already reaped
+            _, chunk_id, attempt, error = message
+            del self.held[wid]
             self._count("chunk_errors")
             if self.obs is not None:
                 self.obs.tracer.instant(
@@ -465,34 +442,17 @@ class Supervisor:
                     chunk=chunk_id,
                     attempt=attempt,
                 )
-            if chunk_id in self.outcomes:
-                return
             self._record_failure(
                 chunk_id, f"attempt {attempt} on worker {wid}: {error}"
             )
-        elif kind == "idle":
-            worker = self.workers.get(message[1])
-            if worker is not None:
-                worker.idle = True
-        elif kind == "done":
-            worker = self.workers.pop(message[1], None)
-            if worker is not None:
-                self.exited.append(worker.proc)
         elif kind == "fatal":
-            _, wid, tb = message
-            if wid in self.workers:
-                self._worker_died(
-                    wid, f"worker {wid} internal error:\n{tb}", kind="crash"
-                )
+            self._worker_died(
+                wid, f"worker {wid} internal error:\n{message[1]}", kind="crash"
+            )
 
-    def _record_failure(
-        self, chunk_id: int, description: str, requeue: bool = True
-    ) -> None:
-        """One failed attempt of ``chunk_id``: log, then retry or
-        quarantine.  The holder entry is cleared so a later worker
-        death cannot double-charge the same failure."""
-        with self.lock:
-            self.holders[chunk_id] = -1
+    def _record_failure(self, chunk_id: int, description: str) -> None:
+        """One failed attempt of ``chunk_id``: log, then requeue or
+        quarantine."""
         self.attempts[chunk_id] += 1
         self.errors.setdefault(chunk_id, []).append(description)
         if self.attempts[chunk_id] > self.max_chunk_retries:
@@ -505,14 +465,14 @@ class Supervisor:
                     chunk=chunk_id,
                     attempts=self.attempts[chunk_id],
                 )
-        elif requeue:
-            self.retry_q.append(chunk_id)
+        else:
+            self.pending.append(chunk_id)
 
     # -- liveness ------------------------------------------------------
 
     def _reap_dead(self) -> None:
         for wid, worker in list(self.workers.items()):
-            if not worker.proc.is_alive() and not worker.stopping:
+            if not worker.proc.is_alive():
                 code = worker.proc.exitcode
                 label = (
                     "injected crash"
@@ -527,25 +487,14 @@ class Supervisor:
         if self.chunk_deadline is None:
             return
         now = time.monotonic()
-        hung: Dict[int, List[int]] = {}
-        with self.lock:
-            for chunk_id in range(len(self.chunks)):
-                wid = self.holders[chunk_id]
-                if wid < 0 or self._done(chunk_id) or wid not in self.workers:
-                    continue
-                lease = self.leases[chunk_id]
-                if lease > 0.0 and now - lease > self.chunk_deadline:
-                    hung.setdefault(wid, []).append(chunk_id)
-        for wid, chunk_ids in hung.items():
-            self._count("leases_expired", len(chunk_ids))
+        for wid, (chunk_id, _, dispatched) in list(self.held.items()):
+            if now - dispatched <= self.chunk_deadline:
+                continue
+            self._count("leases_expired")
             if self.obs is not None:
-                for chunk_id in chunk_ids:
-                    self.obs.tracer.instant(
-                        "native.lease_expired",
-                        cat="native",
-                        tid=wid,
-                        chunk=chunk_id,
-                    )
+                self.obs.tracer.instant(
+                    "native.lease_expired", cat="native", tid=wid, chunk=chunk_id
+                )
             self._worker_died(
                 wid,
                 f"worker {wid} forfeited its lease "
@@ -554,13 +503,13 @@ class Supervisor:
             )
 
     def _worker_died(self, wid: int, reason: str, kind: str) -> None:
-        """A worker is gone (or being put down): forfeit its chunks,
+        """A worker is gone (or being put down): forfeit its chunk,
         count the event, and respawn a replacement if budget allows."""
         worker = self.workers.pop(wid, None)
         if worker is None:
             return
         if worker.proc.is_alive():
-            self._terminate(worker.proc)
+            _terminate(worker.proc)
         self.exited.append(worker.proc)
         self._count("crashes" if kind == "crash" else "hangs")
         if self.obs is not None:
@@ -570,14 +519,10 @@ class Supervisor:
                 tid=wid,
                 reason=reason.splitlines()[0],
             )
-        forfeited: List[int] = []
-        with self.lock:
-            for chunk_id in range(len(self.chunks)):
-                if self.holders[chunk_id] == wid and not self._done(chunk_id):
-                    self.holders[chunk_id] = -1
-                    forfeited.append(chunk_id)
-        for chunk_id in forfeited:
-            self._record_failure(chunk_id, f"attempt forfeited: {reason}")
+        worker.conn.close()
+        held = self.held.pop(wid, None)
+        if held is not None:
+            self._record_failure(held[0], f"attempt forfeited: {reason}")
         if self._remaining() > 0 and self.diag["respawns"] < self.max_respawns:
             self._count("respawns")
             replacement = self._spawn()
@@ -586,72 +531,50 @@ class Supervisor:
                     "native.respawn", cat="native", tid=replacement.wid
                 )
 
-    def _terminate(self, proc) -> None:
-        """Terminate a worker without ever killing a lock holder.
+    # -- dispatch ------------------------------------------------------
 
-        The claim lock's critical sections are pure memory operations,
-        so holding it here is momentary — but killing a process that
-        owns it would deadlock every survivor, hence the acquire."""
-        with self.lock:
-            proc.terminate()
-        proc.join(1.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(1.0)
-
-    # -- retry dispatch ------------------------------------------------
-
-    def _dispatch_retries(self) -> None:
-        if not self.retry_q:
-            return
-        idle = sorted(
-            (w for w in self.workers.values() if w.idle and not w.stopping),
-            key=lambda w: w.wid,
-        )
-        for worker in idle:
-            chunk_id = None
-            while self.retry_q:
-                candidate = self.retry_q.popleft()
-                if not self._done(candidate):
-                    chunk_id = candidate
-                    break
-            if chunk_id is None:
+    def _dispatch(self) -> None:
+        """Hand pending chunks to ready, idle workers, lowest id first."""
+        for worker in list(self.workers.values()):
+            if not self.pending:
                 return
-            with self.lock:
-                self.holders[chunk_id] = worker.wid
-                self.leases[chunk_id] = time.monotonic()
-            worker.idle = False
-            worker.feed.put(("exec", chunk_id, self.attempts[chunk_id]))
-            self._count("retries")
-            if self.obs is not None:
-                self.obs.tracer.instant(
-                    "native.retry",
-                    cat="native",
-                    tid=worker.wid,
-                    chunk=chunk_id,
-                    attempt=self.attempts[chunk_id],
-                )
+            if not worker.ready or worker.closed or worker.wid in self.held:
+                continue
+            chunk_id = self.pending.popleft()
+            attempt = self.attempts[chunk_id]
+            self.held[worker.wid] = (chunk_id, attempt, time.monotonic())
+            try:
+                worker.conn.send(("exec", chunk_id, attempt))
+            except OSError:
+                # died since the last reap (say, OOM-killed while idle):
+                # the reaper forfeits the chunk like any held one
+                worker.closed = True
+            self._started(chunk_id, attempt, worker.wid)
 
-    # -- the final fallback --------------------------------------------
+    # -- the serial loop -----------------------------------------------
 
-    def _serial_fallback(self) -> None:
-        """Execute every unfinished chunk in-process.
+    def _run_serial(self) -> None:
+        """Execute every unfinished chunk in-process, in chunk id order.
 
+        The whole run without a pool; the final fallback after one
+        (each chunk it then runs counts in ``fallback_chunks``).
         Process-level faults (crash/hang/slow) model *worker* failures
         and cannot apply here — the supervisor's own process is the
         reliability anchor, like the simulator's master — but injected
-        transient chunk errors still fire, so attempt accounting stays
-        uniform and a poison chunk is still quarantined, never looped
-        forever.
+        transient chunk errors still fire, so attempts, retries and
+        quarantine work exactly as in the pool: a poison chunk is
+        quarantined, never looped forever.
         """
         with kernels.use_backend(self.backend):
             for chunk_id in range(len(self.chunks)):
                 if self._done(chunk_id):
                     continue
                 self._check_cancelled()
-                self._count("fallback_chunks")
+                if self.ctx is not None:
+                    self._count("fallback_chunks")
                 while not self._done(chunk_id):
                     attempt = self.attempts[chunk_id]
+                    self._started(chunk_id, attempt, -1)
                     failure = (
                         self.fault_plan.chunk_failure(chunk_id, attempt)
                         if self.fault_plan is not None
@@ -669,51 +592,32 @@ class Supervisor:
                         except Exception:
                             failure = traceback.format_exc()
                     self._record_failure(
-                        chunk_id,
-                        f"attempt {attempt} (serial fallback): {failure}",
-                        requeue=False,
+                        chunk_id, f"attempt {attempt} in-process: {failure}"
                     )
 
     # -- teardown ------------------------------------------------------
 
     def _shutdown(self, graceful: bool) -> None:
-        """Terminate/stop and join every child, then drain the queues.
+        """Stop or terminate and join every child, then close the pipes.
 
         ``graceful=True`` (normal completion) lets idle workers exit
         via the stop command; ``graceful=False`` (interrupt or internal
         error) terminates immediately.  Either way no child survives
-        this method and every queue feeder thread is released — the
-        no-orphans / no-leaked-semaphores contract the shutdown-hygiene
+        this method — the no-orphans contract the shutdown-hygiene
         tests assert.
         """
-        for worker in self.workers.values():
-            worker.stopping = True
-            if graceful:
+        if graceful:
+            for worker in self.workers.values():
                 try:
-                    worker.feed.put(("stop",))
+                    worker.conn.send(("stop",))
                 except Exception:
                     pass
         deadline = time.monotonic() + (_STOP_GRACE if graceful else 0.0)
         for worker in list(self.workers.values()):
-            remaining = max(0.0, deadline - time.monotonic())
-            worker.proc.join(remaining)
+            worker.proc.join(max(0.0, deadline - time.monotonic()))
             if worker.proc.is_alive():
-                self._terminate(worker.proc)
+                _terminate(worker.proc)
+            worker.conn.close()
         for proc in self.exited:
             proc.join(1.0)
-        # drain whatever the children left behind so the queue feeder
-        # threads release their pipes (a killed writer can leave a
-        # torn pickle — swallow it, the run is already decided)
-        while True:
-            try:
-                self.out_queue.get_nowait()
-            except queue_mod.Empty:
-                break
-            except Exception:
-                break
-        for worker in self.workers.values():
-            worker.feed.close()
-            worker.feed.cancel_join_thread()
-        self.out_queue.close()
-        self.out_queue.cancel_join_thread()
         self.workers.clear()

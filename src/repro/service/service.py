@@ -113,7 +113,7 @@ class JobHandle:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Capacity, fairness and determinism knobs for one service.
+    """Capacity and fairness knobs for one service.
 
     ``quantum_work_units`` is the deficit-round-robin quantum: each
     time a tenant's turn comes up its deficit grows by
@@ -134,15 +134,10 @@ class ServiceConfig:
     quantum_work_units: float = 50.0
     #: tenant → DRR weight; unlisted tenants weigh 1.0.
     tenant_weights: Dict[str, float] = field(default_factory=dict)
-    priority_weights: Dict[str, float] = field(
-        default_factory=lambda: {"high": 4.0, "normal": 2.0, "low": 1.0}
-    )
     #: Worker-count ceiling for any native job this service dispatches.
     native_worker_budget: int = 2
     #: Work units per virtual second billed for native jobs.
     native_virtual_rate: float = 1000.0
-    #: Reserved for seeded tie-breaks; part of the schedule identity.
-    seed: int = 0
 
     def validate(self) -> None:
         for name in ("max_queue_depth", "max_inflight_per_tenant", "max_running"):
@@ -160,14 +155,6 @@ class ServiceConfig:
                 raise ValueError(
                     f"tenant_weights[{tenant!r}] must be > 0, got {weight!r}"
                 )
-        missing = set(_PRIORITY_RANK) - set(self.priority_weights)
-        if missing:
-            raise ValueError(
-                f"priority_weights must cover {sorted(_PRIORITY_RANK)}; "
-                f"missing {sorted(missing)}"
-            )
-        if any(w <= 0 for w in self.priority_weights.values()):
-            raise ValueError("priority_weights must all be > 0")
 
     def weight(self, tenant: str) -> float:
         return float(self.tenant_weights.get(tenant, 1.0))

@@ -92,31 +92,53 @@ def test_deadline_via_config_field_matches_shorthand():
 # ----------------------------------------------------------------------
 
 
+#: One worker runs in-process, two in the supervised pool.  Each native
+#: test runs both; small chunks so the 60-vertex test graph really fans
+#: out to two workers.
+NATIVE_WORKERS = (1, 2)
+
+
+def native_config(workers):
+    return GMinerConfig(native_workers=workers, native_chunk_size=16)
+
+
 def test_native_deadline_is_wall_clock_and_leaves_no_children():
     graph = small_graph()
-    with pytest.raises(JobDeadlineExceeded) as excinfo:
-        repro.mine(graph, workload="tc", execution="native", deadline=1e-9)
-    assert excinfo.value.clock == "wall-clock"
-    assert multiprocessing.active_children() == []
+    for workers in NATIVE_WORKERS:
+        with pytest.raises(JobDeadlineExceeded) as excinfo:
+            repro.mine(
+                graph, workload="tc", execution="native", deadline=1e-9,
+                config=native_config(workers),
+            )
+        assert excinfo.value.clock == "wall-clock", workers
+        assert multiprocessing.active_children() == [], workers
 
 
 def test_native_cancel_event_raises_and_leaves_no_children():
     import threading
 
-    graph = small_graph()
     from repro.plans.api import prepare_job
 
-    job = prepare_job(graph, workload="tc", execution="native")
-    job.cancel_event = threading.Event()
-    job.cancel_event.set()  # pre-set: the first checkpoint fires
-    with pytest.raises(JobCancelled):
-        job.run()
-    assert multiprocessing.active_children() == []
+    graph = small_graph()
+    for workers in NATIVE_WORKERS:
+        job = prepare_job(
+            graph, workload="tc", execution="native", config=native_config(workers)
+        )
+        job.cancel_event = threading.Event()
+        job.cancel_event.set()  # pre-set: the first checkpoint fires
+        with pytest.raises(JobCancelled):
+            job.run()
+        assert multiprocessing.active_children() == [], workers
 
 
 def test_native_generous_deadline_matches_undeadlined_run():
     graph = small_graph()
-    plain = repro.mine(graph, workload="tc", execution="native")
-    capped = repro.mine(graph, workload="tc", execution="native", deadline=1e9)
-    assert capped.value == plain.value
-    assert capped.stats == plain.stats
+    for workers in NATIVE_WORKERS:
+        config = native_config(workers)
+        plain = repro.mine(graph, workload="tc", execution="native", config=config)
+        capped = repro.mine(
+            graph, workload="tc", execution="native", deadline=1e9, config=config
+        )
+        assert capped.native["workers"] == workers
+        assert capped.value == plain.value, workers
+        assert capped.stats == plain.stats, workers

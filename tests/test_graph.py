@@ -124,6 +124,26 @@ class TestTransformations:
         assert "|V|=6" in repr(tiny_graph)
 
 
+class TestFingerprintMemo:
+    EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]
+
+    def test_edits_clear_the_memo(self, tiny_graph):
+        plain = tiny_graph.fingerprint()
+        assert tiny_graph.fingerprint() is plain  # memoised
+        tiny_graph.set_label(0, "a")
+        labelled = tiny_graph.fingerprint()
+        assert labelled != plain
+        tiny_graph.set_attributes(1, (2, 5))
+        edited = tiny_graph.fingerprint()
+        assert edited != labelled
+        fresh = Graph.from_edges(self.EDGES)
+        fresh.set_label(0, "a")
+        fresh.set_attributes(1, (2, 5))
+        assert fresh.fingerprint() == edited
+        assert Graph.from_edges(self.EDGES).fingerprint() == plain
+        assert pickle.loads(pickle.dumps(tiny_graph)).fingerprint() == edited
+
+
 class TestVertexDataMemo:
     def test_one_record_per_vertex(self, tiny_graph):
         assert tiny_graph.vertex_data(1) is tiny_graph.vertex_data(1)

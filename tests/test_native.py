@@ -10,7 +10,7 @@ Three families of guarantees:
   bound, a schedule artefact) still agrees on the answer and the
   aggregated bound;
 * **native determinism** — the full result is byte-identical across
-  worker counts and repeated runs, the claim order notwithstanding;
+  worker counts and repeated runs, the dispatch order notwithstanding;
 * **refusals and knobs** — failure plans fail fast, config validation
   rejects nonsense, ``backend="auto"`` never changes explicit-backend
   results, ``explain=True`` runs nothing.
@@ -282,13 +282,13 @@ def test_fewer_chunks_than_workers_clamps_pool():
 
 
 def test_claimed_chunk_failure_retried_exactly_once():
-    """Lease-owner accounting: the lease follows the claimer.
+    """Lease-owner accounting: the lease follows the dispatch.
 
-    Worker 0 is made a straggler, so whichever worker reaches the flaky
-    last chunk on the shared cursor is not known in advance.  A chunk
-    that fails on the worker that claimed it is charged exactly one
-    attempt and retried exactly once, with the final result
-    bit-identical to the fault-free run.
+    Worker 0 is made a straggler, so which worker the parent hands the
+    flaky last chunk to is not known in advance.  A chunk that fails on
+    the worker it was dispatched to is charged exactly one attempt and
+    retried exactly once, with the final result bit-identical to the
+    fault-free run.
     """
     from repro.native import NativeFaultPlan
 
@@ -310,47 +310,38 @@ def test_claimed_chunk_failure_retried_exactly_once():
     assert _comparable_dict(chaotic) == _comparable_dict(clean)
 
 
-def _drain_cursor(next_chunk, num_chunks, holders, leases, wid, claimed):
-    from repro.native.supervisor import _claim
-
-    mine = []
-    while True:
-        chunk_id = _claim(next_chunk, num_chunks, holders, leases, wid)
-        if chunk_id is None:
-            break
-        mine.append(chunk_id)
-    claimed.put((wid, mine))
-
-
-def test_shared_cursor_hands_out_every_chunk_exactly_once():
-    """More claimers than cores racing one cursor: a lost update would
-    hand a chunk out twice or skip one, and every claimed chunk is
-    leased to its claimer."""
+def test_supervisor_dispatches_every_chunk_exactly_once():
+    """Parent-side dispatch: a fault-free four-worker pool sends each
+    chunk out once, as attempt 0, and every outcome comes back under
+    its own chunk id."""
     from repro.native.engine import _pool_context
+    from repro.native.supervisor import Supervisor
 
-    ctx = _pool_context()
-    num_chunks, claimers = 2000, 2 * (os.cpu_count() or 1) + 2
-    next_chunk = ctx.Value("l", 0, lock=True)
-    holders = ctx.Array("l", [-1] * num_chunks, lock=False)
-    leases = ctx.Array("d", [0.0] * num_chunks, lock=False)
-    claimed = ctx.Queue()
-    procs = [
-        ctx.Process(
-            target=_drain_cursor,
-            args=(next_chunk, num_chunks, holders, leases, wid, claimed),
-        )
-        for wid in range(claimers)
-    ]
-    for proc in procs:
-        proc.start()
-    per_worker = [claimed.get(timeout=60.0) for _ in procs]  # drain, then join
-    for proc in procs:
-        proc.join(timeout=10.0)
-        assert not proc.is_alive()
-    assert sorted(c for _, mine in per_worker for c in mine) == list(range(num_chunks))
-    assert next_chunk.value == num_chunks
-    assert all(holders[c] == wid for wid, mine in per_worker for c in mine)
-    assert all(lease > 0.0 for lease in leases)
+    dispatched = []
+
+    class Recording(Supervisor):
+        def _started(self, chunk_id, attempt, tid):
+            dispatched.append((chunk_id, attempt))
+            super()._started(chunk_id, attempt, tid)
+
+    graph = make_clustered_graph()
+    chunks = seed_chunks(graph, 4)
+    assert len(chunks) >= 20
+    supervisor = Recording(
+        ctx=_pool_context(),
+        app=TriangleCountingApp(),
+        graph=graph,
+        backend=kernels.get_backend(),
+        chunks=chunks,
+        num_workers=4,
+    )
+    outcomes, diag = supervisor.run()
+    assert sorted(dispatched) == [(c, 0) for c in range(len(chunks))]
+    assert diag["retries"] == 0
+    assert supervisor.attempts == [0] * len(chunks)
+    assert sorted(outcomes) == list(range(len(chunks)))
+    assert all(outcome.chunk_id == c for c, outcome in outcomes.items())
+    assert multiprocessing.active_children() == []
 
 
 def test_failed_run_leaves_no_live_children(monkeypatch):
@@ -358,7 +349,7 @@ def test_failed_run_leaves_no_live_children(monkeypatch):
     whole pool — no orphan workers, no leaked queue feeder threads."""
     from repro.native.supervisor import Supervisor
 
-    original = Supervisor._dispatch_retries
+    original = Supervisor._dispatch
     calls = {"n": 0}
 
     def interrupt(self):
@@ -367,7 +358,7 @@ def test_failed_run_leaves_no_live_children(monkeypatch):
             raise KeyboardInterrupt
         return original(self)
 
-    monkeypatch.setattr(Supervisor, "_dispatch_retries", interrupt)
+    monkeypatch.setattr(Supervisor, "_dispatch", interrupt)
     graph = make_clustered_graph()
     # a straggler pool so the run is still in flight when we interrupt
     from repro.native import NativeFaultPlan

@@ -210,6 +210,35 @@ def test_pool_shrinks_when_respawn_budget_is_zero():
     assert chaotic.native["respawns"] == 0
 
 
+def test_worker_killed_while_idle_forfeits_its_next_chunk(monkeypatch):
+    """A worker killed from outside between chunks (an OOM kill): the
+    chunk dispatched to it is forfeited and retried elsewhere."""
+    import os
+    import signal
+
+    from repro.native.supervisor import Supervisor
+
+    original = Supervisor._dispatch
+
+    def kill_idle_worker_0(self):
+        worker = self.workers.get(0)
+        if worker is not None and worker.ready and 0 not in self.held and self.outcomes:
+            os.kill(worker.proc.pid, signal.SIGKILL)
+            worker.proc.join(5.0)
+        return original(self)
+
+    monkeypatch.setattr(Supervisor, "_dispatch", kill_idle_worker_0)
+    graph = make_clustered_graph()
+    plan = NativeFaultPlan(seed=89).slow(delay=0.01)
+    chaotic = _run(TriangleCountingApp, graph, plan, native_workers=2)
+    clean = _run(TriangleCountingApp, graph)
+    assert _comparable_dict(chaotic) == _comparable_dict(clean)
+    assert {k: chaotic.native[k] for k in ("crashes", "retries", "respawns")} == {
+        "crashes": 1, "retries": 1, "respawns": 1,
+    }
+    assert multiprocessing.active_children() == []
+
+
 def test_crash_storm_degrades_to_serial_fallback():
     graph = make_clustered_graph()
     # every worker, original or respawned, dies at its first pickup:
@@ -223,6 +252,51 @@ def test_crash_storm_degrades_to_serial_fallback():
     assert chaotic.native["respawns"] == 2
     assert chaotic.native["crashes"] >= 3
     assert chaotic.native["fallback_chunks"] > 0
+    assert multiprocessing.active_children() == []
+
+
+#: Crash, hang and flaky-chunk schedules whose tallies do not depend on
+#: which worker starts first: every worker crashes (or hangs) at its
+#: first pickup, so the pool empties and the rest runs in-process.
+SPAWN_SCHEDULES = [
+    (
+        "crash",
+        lambda: NativeFaultPlan(seed=73).crash(on_claim=0),
+        {"native_max_respawns": 1},
+        {"crashes": 5, "respawns": 1},
+    ),
+    (
+        "hang",
+        lambda: NativeFaultPlan(seed=79).hang(on_claim=0),
+        {"native_chunk_deadline": 0.3, "native_max_respawns": 0},
+        {"hangs": 4, "leases_expired": 4},
+    ),
+    (
+        "flaky-chunk",
+        lambda: NativeFaultPlan(seed=83).flaky_chunk(0, failures=2).flaky_chunk(2),
+        {},
+        {"chunk_errors": 3, "retries": 3, "fallback_chunks": 0},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "schedule", SPAWN_SCHEDULES, ids=[row[0] for row in SPAWN_SCHEDULES]
+)
+def test_spawn_pool_survives_faults(monkeypatch, schedule):
+    """The same supervision under the spawn start method, where each
+    worker starts a fresh interpreter and unpickles the graph before it
+    reports ready."""
+    from repro.native import engine
+
+    monkeypatch.setattr(
+        engine, "_pool_context", lambda: multiprocessing.get_context("spawn")
+    )
+    _, plan_builder, knobs, tallies = schedule
+    chaotic = _assert_bit_identical(
+        TriangleCountingApp, make_clustered_graph(), plan_builder, knobs
+    )
+    assert {key: chaotic.native[key] for key in tallies} == tallies
     assert multiprocessing.active_children() == []
 
 
@@ -262,16 +336,20 @@ def test_zero_retry_budget_quarantines_first_failure():
 def test_real_exception_surfaces_traceback():
     graph = make_clustered_graph()
     poison = sorted(graph.vertices())[0]
-    with pytest.raises(NativeChunkError) as excinfo:
-        _run(
-            lambda: _PoisonVertexApp(poison), graph,
-            native_max_chunk_retries=0,
-        )
-    failure = excinfo.value.failures[0]
-    assert failure.chunk_id == 0  # the poison vertex seeds chunk 0
-    assert "RuntimeError" in failure.errors[0]
-    assert "poison vertex" in failure.errors[0]
-    assert "Traceback" in failure.errors[0]
+    # one worker runs in-process, two in the pool: the same structured
+    # error either way
+    for workers in (1, 2):
+        with pytest.raises(NativeChunkError) as excinfo:
+            _run(
+                lambda: _PoisonVertexApp(poison), graph,
+                native_workers=workers,
+                native_max_chunk_retries=0,
+            )
+        failure = excinfo.value.failures[0]
+        assert failure.chunk_id == 0, workers  # the poison vertex seeds chunk 0
+        assert "RuntimeError" in failure.errors[0], workers
+        assert "poison vertex" in failure.errors[0], workers
+        assert "Traceback" in failure.errors[0], workers
 
 
 def test_unsurvivable_hang_fails_instead_of_hanging():
@@ -383,3 +461,12 @@ def test_supervision_counters_flow_into_obs():
         span["name"] == "native.supervise" for span in chaotic.obs["spans"]
     )
     assert any(span["name"] == "native.run" for span in chaotic.obs["spans"])
+    assert clean_counters["native.fallback_chunks"] == 0.0
+    # a crash storm that empties the pool counts its in-process chunks
+    storm = _run(
+        TriangleCountingApp, graph,
+        NativeFaultPlan(seed=71).crash(on_claim=0),
+        native_max_respawns=1, enable_obs=True,
+    )
+    storm_counters = storm.obs["metrics"]["counters"]
+    assert storm_counters["native.fallback_chunks"] == storm.native["fallback_chunks"] > 0

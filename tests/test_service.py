@@ -570,7 +570,6 @@ class TestServiceConfig:
             dict(quantum_work_units=-1.0),
             dict(native_virtual_rate=0.0),
             dict(tenant_weights={"t": 0.0}),
-            dict(priority_weights={"high": 1.0}),
         ],
     )
     def test_rejects_bad_knobs(self, bad):
