@@ -11,10 +11,22 @@ clusters them.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Iterable, Sequence, Tuple
 
 #: A Mersenne prime comfortably above any vertex ID we generate.
 _PRIME = (1 << 61) - 1
+
+
+@lru_cache(maxsize=16)
+def _coefficients(signature_size: int, seed: int) -> Tuple[Tuple[int, int], ...]:
+    """The ``(a, b)`` hash coefficients, drawn once per size and seed:
+    every worker of every job builds the same ones."""
+    rng = random.Random(seed)
+    return tuple(
+        (rng.randrange(1, _PRIME), rng.randrange(0, _PRIME))
+        for _ in range(signature_size)
+    )
 
 
 class MinHashLSH:
@@ -29,12 +41,8 @@ class MinHashLSH:
     def __init__(self, signature_size: int = 4, seed: int = 12345) -> None:
         if signature_size < 1:
             raise ValueError("signature size must be >= 1")
-        rng = random.Random(seed)
         self.signature_size = signature_size
-        self._coeffs = [
-            (rng.randrange(1, _PRIME), rng.randrange(0, _PRIME))
-            for _ in range(signature_size)
-        ]
+        self._coeffs = _coefficients(signature_size, seed)
 
     def signature(self, ids: Iterable[int]) -> Tuple[int, ...]:
         """MinHash signature of a set of vertex IDs.

@@ -9,6 +9,11 @@ units the task charged — so a native run's total work equals the
 simulated run's whenever the schedule cannot change per-task charges
 (DESIGN.md's sim-vs-native equivalence contract).
 
+Compiled plans skip the task objects: :class:`~repro.plans.PlanApp`'s
+``run_seeds`` hook runs a chunk's roots straight through the plan step
+runner, reporting the tasks, rounds, results and charges one
+``PlanTask`` per admissible root would.
+
 Tasks execute *pure*: ``env.aggregated`` stays ``None`` (so MCF's
 branch-and-bound bound starts at 0 and never tightens across tasks)
 and aggregator offers are collected in seed order and merged by the
@@ -26,6 +31,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from repro.core.api import GMinerApp
 from repro.core.task import Task, TaskEnv
 from repro.graph.graph import Graph, VertexData
+from repro.mining.cost import WorkMeter
 
 
 @dataclass
@@ -102,11 +108,27 @@ def execute_chunk(
     its ``seed_cost`` charged) even when ``make_task`` declines it.
     ``data_of`` is the vertex source; ``None`` means
     ``graph.vertex_data``.
+
+    An app with a ``run_seeds(vids, data_of, charge) -> (results,
+    tasks, rounds)`` hook (:class:`~repro.plans.executor.PlanApp`) runs
+    the whole chunk through it instead of one task per seed: full graph
+    access needs no pull sets or candidate dicts.  The hook must report
+    what the task loop would have.
     """
     outcome = ChunkOutcome(chunk_id=chunk_id)
-    env = TaskEnv(worker_id=0, aggregated=None, push=outcome.offers.append)
     if data_of is None:
         data_of = graph.vertex_data
+    run_seeds = getattr(app, "run_seeds", None)
+    if run_seeds is not None:
+        for vid in vids:
+            outcome.work_units += app.seed_cost(data_of(vid))
+        meter = WorkMeter()
+        outcome.results, outcome.tasks_created, outcome.rounds = run_seeds(
+            vids, data_of, meter.charge
+        )
+        outcome.work_units += meter.units
+        return outcome
+    env = TaskEnv(worker_id=0, aggregated=None, push=outcome.offers.append)
     for vid in vids:
         vertex = data_of(vid)
         outcome.work_units += app.seed_cost(vertex)

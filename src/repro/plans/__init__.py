@@ -9,8 +9,9 @@ The package behind :func:`repro.mine`:
   extension-order derivation, per-level intersection steps
   (:func:`compile_pattern` → :class:`ExecutionPlan`);
 * :mod:`repro.plans.executor` — the generic plan-driven grower
-  (:class:`PlanApp` / :class:`PlanTask`) on the task machinery, plus
-  :func:`count_plan_sequential`;
+  (:class:`PlanApp`): one :class:`PlanTask` per seed on the simulated
+  task machinery, and one task-free root loop (``run_roots``) for the
+  native engine and :func:`count_plan_sequential`;
 * :mod:`repro.plans.oracle` — brute-force ground truth for
   differential checks;
 * :mod:`repro.plans.builtins` — the six paper workloads as built-in

@@ -1,9 +1,12 @@
 """The generic plan-driven grower: executes any
 :class:`~repro.plans.compiler.ExecutionPlan` on G-Miner's task model.
 
-One :class:`PlanTask` seeds per admissible vertex; round ``r`` hands
-its partial embeddings and plan step ``r-1`` to :func:`run_step`, the
-one step runner (:func:`count_plan_sequential` calls it too):
+Under the simulator one :class:`PlanTask` seeds per admissible vertex;
+round ``r`` hands its partial embeddings and plan step ``r-1`` to
+:func:`run_step`, the one step runner.  With full graph access — the
+native engine's chunks (:meth:`PlanApp.run_seeds`) and
+:func:`count_plan_sequential` — :func:`run_roots` calls it per root
+with no task, pull set or candidate dict.  The step runner uses:
 
 * **Shared candidate sets** (Khuzdul's extend/intersect split).  A
   partial's candidates — the adjacency lists of its source images
@@ -28,8 +31,8 @@ not the set was computed for it — the legacy kernels' "elements
 scanned" convention, so sharing changes wall time, never work units.
 
 :func:`count_plan_sequential` runs the identical per-seed computation
-single-threaded against full graph access; it is the natural oracle
-half of plan-vs-distributed differential tests.
+single-threaded over the whole graph; it is the natural oracle half of
+plan-vs-distributed differential tests.
 """
 
 from __future__ import annotations
@@ -234,8 +237,53 @@ class PlanApp(GMinerApp):
             return None
         return PlanTask(vertex, self.plan)
 
+    def run_seeds(
+        self,
+        vids: Sequence[int],
+        data_of: Callable[[int], VertexData],
+        charge: Callable[[float], None],
+    ) -> Tuple[List[int], int, int]:
+        """The native engine's chunk hook: :func:`run_roots` with no
+        task objects, pull sets or candidate dicts (full graph access
+        needs none).  Returns ``(results, tasks, rounds)`` exactly as
+        one :class:`PlanTask` per admissible root would."""
+        return run_roots(self.plan, vids, data_of, charge)
+
     def combine_results(self, results: Iterable[Optional[int]]) -> int:
         return sum(r for r in results if r is not None)
+
+
+def run_roots(
+    plan: ExecutionPlan,
+    vids: Iterable[int],
+    data_of: Callable[[int], VertexData],
+    charge: Callable[[float], None],
+) -> Tuple[List[int], int, int]:
+    """The root loop: run ``plan`` from every admissible vertex of ``vids``.
+
+    Each root runs :func:`run_step` step by step from ``[(root,)]`` and
+    follows :class:`PlanTask`'s semantics exactly: it counts one round
+    per step it enters, stops on an empty extension, and yields a count
+    only when that count is non-zero.  Returns ``(counts, roots,
+    rounds)`` with ``counts`` in root order.  Seed-scan costs are the
+    caller's to charge.
+    """
+    counts: List[int] = []
+    roots = rounds = 0
+    steps = plan.steps
+    for vid in vids:
+        if not seed_admissible(data_of(vid), plan):
+            continue
+        roots += 1
+        out: Union[int, List[PartialImage]] = [(vid,)]
+        for step in steps:
+            out = run_step(out, step, data_of, charge)
+            rounds += 1
+            if not out:
+                break
+        else:
+            counts.append(out)
+    return counts, roots, rounds
 
 
 def count_plan_sequential(
@@ -243,22 +291,14 @@ def count_plan_sequential(
 ) -> int:
     """Single-threaded execution of a plan with full graph access.
 
-    Runs the exact per-seed computation :class:`PlanTask` performs
-    (same candidate generation, filters and charging), so its value —
-    and, via ``meter``, its work units — must agree with the
-    distributed job on any graph.
+    Runs :func:`run_roots` over every vertex — the same root loop the
+    native engine runs per chunk, and the per-seed computation
+    :class:`PlanTask` performs (same candidate generation, filters and
+    charging) — so its value and, via ``meter``, its work units (minus
+    the task generator's ``seed_cost`` scan) agree with the distributed
+    job on any graph.
     """
     meter = meter if meter is not None else WorkMeter()
-    data_of = graph.vertex_data  # memoised per vertex on the graph
-    total = 0
-    for vid in graph.vertices():
-        if not seed_admissible(data_of(vid), plan):
-            continue
-        out: Union[int, List[PartialImage]] = [(vid,)]
-        for step in plan.steps:
-            out = run_step(out, step, data_of, meter.charge)
-            if not out:
-                break
-        else:
-            total += out
-    return total
+    # graph.vertex_data is memoised per vertex on the graph
+    counts, _, _ = run_roots(plan, graph.vertices(), graph.vertex_data, meter.charge)
+    return sum(counts)

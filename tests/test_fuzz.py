@@ -298,7 +298,7 @@ class TestTimeCap:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 5: the tailed-triangle plan livelocks under "
+        reason="ROADMAP item 1: the tailed-triangle plan livelocks under "
         "a tight fifo/lru cache (re-pulls grow without bound)",
     )
     def test_livelock_repro_is_fixed(self, monkeypatch):

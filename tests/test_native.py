@@ -36,15 +36,18 @@ from repro.apps import (
 )
 from repro.core.config import GMinerConfig
 from repro.core.job import GMinerJob, JobStatus
+from repro.core.task import peek_task_id
 from repro.graph.graph import VertexData
 from repro.graph.generators import random_attributes
-from repro.native import run_native, seed_chunks
-from repro.plans import PlanApp, compile_pattern, motif
+from repro.mining.cost import WorkMeter
+from repro.native import execute_chunk, run_native, seed_chunks
+from repro.plans import PlanApp, compile_pattern, count_plan_sequential, motif
 from repro.sim.cluster import ClusterSpec
 from repro.sim.failures import FailurePlan
 from repro.verify.metamorphic import normalize_value
 
 from .conftest import make_clustered_graph
+from .test_plans_execution import RUNNER_PLANS
 
 #: Worker counts the equivalence tests sweep.  ``REPRO_NATIVE_TEST_WORKERS``
 #: overrides (comma-separated), so CI can pin the multi-process axis
@@ -156,6 +159,53 @@ def test_compiled_motifs_match_sim_at_all_worker_counts(pattern):
     assert native.num_results == sim.num_results
     assert native.stats["tasks_created"] == sim.stats["tasks_created"]
     assert native.stats["work_units"] == sim.stats["work_units"]
+
+
+@pytest.mark.parametrize("plan", RUNNER_PLANS, ids=lambda plan: plan.name)
+def test_native_plan_path_matches_sim_on_runner_queries(plan):
+    """Plan chunks run straight through the step runner, yet report
+    what one simulated ``PlanTask`` per admissible root does — on every
+    runner branch: labels, attribute predicates, upper bounds, probes."""
+    # labelled and attributed, so every runner query finds embeddings
+    graph = make_clustered_graph(labeled=True, n=48, m=3)
+    random_attributes(graph, seed=7)
+    factory = lambda: PlanApp(plan)
+    sim = _sim(factory, graph)
+    natives = [_native(factory, graph, w) for w in (1, 2)]
+    assert natives[1].stats == natives[0].stats
+    native = natives[0]
+    assert native.status is JobStatus.OK
+    assert native.value == sim.value
+    assert native.num_results == sim.num_results
+    assert native.stats["tasks_created"] == sim.stats["tasks_created"]
+    assert native.stats["rounds_executed"] == sim.stats["rounds_executed"]
+    assert sim.stats.get("re_pulls", 0) == 0  # precondition for work identity
+    assert native.stats["work_units"] == sim.stats["work_units"]
+
+
+def test_native_plan_path_allocates_no_task():
+    """The native engine runs a plan with no task objects, and its
+    chunks add up to the sequential plan run plus the seed scan."""
+    graph = make_clustered_graph()
+    plan = compile_pattern(motif("tailed-triangle"))
+    before = peek_task_id()
+    result = _native(lambda: PlanApp(plan), graph, 1)
+    assert result.value > 0
+    assert peek_task_id() == before
+
+    app = PlanApp(plan)
+    meter = WorkMeter()
+    value = count_plan_sequential(plan, graph, meter)
+    scan = sum(app.seed_cost(graph.vertex_data(v)) for v in graph.vertices())
+    outcomes = [
+        execute_chunk(app, graph, chunk_id, chunk)
+        for chunk_id, chunk in enumerate(seed_chunks(graph, 64))
+    ]
+    assert len(outcomes) > 1
+    assert sum(sum(o.results) for o in outcomes) == value == result.value
+    assert sum(o.work_units for o in outcomes) == meter.units + scan
+    assert sum(o.tasks_created for o in outcomes) == result.stats["tasks_created"]
+    assert sum(o.rounds for o in outcomes) == result.stats["rounds_executed"]
 
 
 def test_mine_execution_native_roundtrip(small_social_graph):
