@@ -44,16 +44,10 @@ class GMinerConfig:
     #: independent caches with no sharing between them.
     processes_per_node: int = 1
 
-    # -- candidate retriever --------------------------------------------
-    max_inflight_tasks: int = 8  # CMQ capacity per worker
-
     # -- task executor ----------------------------------------------------
+    #: The candidate retriever's CMQ capacity and the CPQ backpressure
+    #: depth are constants next to their reader (``core/worker.py``).
     task_buffer_batch: int = 16  # tasks flushed from buffer to store at once
-    #: Backpressure: the retriever stops feeding the CPQ once this many
-    #: tasks are queued per core, keeping the surplus INACTIVE in the
-    #: task store where it is cheap to hold (disk-backed) and visible
-    #: to task stealing.
-    cpq_per_core: int = 1
 
     # -- dynamic load balancing: task stealing (§6.2) ---------------------
     enable_stealing: bool = True
@@ -114,7 +108,9 @@ class GMinerConfig:
     #: (:mod:`repro.native`) and reports wall-clock time.  Results and
     #: total work-unit charges are bit-identical between the two for
     #: every schedule-independent workload (see DESIGN.md's sim-vs-
-    #: native equivalence contract); native mode refuses failure plans.
+    #: native equivalence contract).  Native mode refuses simulated
+    #: failure plans; its supervision budgets ride on the
+    #: :class:`~repro.native.NativeFaultPlan` passed as the job's plan.
     execution: str = "sim"  # "sim" | "native"
     #: Pool size for native execution; ``None`` uses every host core.
     #: Results never depend on this — only wall-clock time does.
@@ -122,20 +118,6 @@ class GMinerConfig:
     #: Seed vertices per dispatched chunk in native mode.  Purely a
     #: scheduling granularity: results and charges are chunk-invariant.
     native_chunk_size: int = 64
-    #: Native supervision: wall-clock seconds a worker may hold one
-    #: chunk before the supervisor presumes it hung, terminates it and
-    #: retries the chunk elsewhere.  ``None`` uses the engine default
-    #: (60s); only meaningful under ``execution="native"``.
-    native_chunk_deadline: Optional[float] = None
-    #: Native supervision: failed attempts a chunk may accumulate
-    #: (worker crashes, lease expiries, transient errors) before it is
-    #: quarantined and the run fails with a structured
-    #: ``NativeChunkError``.  ``None`` uses the engine default (2).
-    native_max_chunk_retries: Optional[int] = None
-    #: Native supervision: dead workers the supervisor may replace
-    #: before degrading to a smaller pool (and ultimately an in-process
-    #: serial fallback).  ``None`` uses the engine default (2).
-    native_max_respawns: Optional[int] = None
 
     # -- set-operation kernels (repro.kernels) ---------------------------------
     #: Backend for sorted-array set operations, pinned for the whole
@@ -226,46 +208,6 @@ class GMinerConfig:
                 f"native_chunk_size must be >= 1; got "
                 f"{self.native_chunk_size!r}"
             )
-        if self.execution != "native":
-            # the supervision knobs govern the real process pool only;
-            # silently accepting them on a simulated job would make a
-            # "we survived chaos" experiment vacuous
-            for knob in (
-                "native_chunk_deadline",
-                "native_max_chunk_retries",
-                "native_max_respawns",
-            ):
-                if getattr(self, knob) is not None:
-                    raise ValueError(
-                        f"{knob} only applies to execution='native' "
-                        f"(got execution={self.execution!r}); the simulator's "
-                        "fault machinery is configured through FailurePlan "
-                        "and the §7 knobs instead"
-                    )
-        if self.native_chunk_deadline is not None and not (
-            self.native_chunk_deadline > 0
-            and math.isfinite(self.native_chunk_deadline)
-        ):
-            raise ValueError(
-                f"native_chunk_deadline must be a positive (finite) number "
-                f"of wall-clock seconds, or None for the engine default; "
-                f"got {self.native_chunk_deadline!r}"
-            )
-        if (
-            self.native_max_chunk_retries is not None
-            and self.native_max_chunk_retries < 0
-        ):
-            raise ValueError(
-                f"native_max_chunk_retries cannot be negative; got "
-                f"{self.native_max_chunk_retries!r} (0 quarantines a chunk "
-                "on its first failure)"
-            )
-        if self.native_max_respawns is not None and self.native_max_respawns < 0:
-            raise ValueError(
-                f"native_max_respawns cannot be negative; got "
-                f"{self.native_max_respawns!r} (0 never replaces a dead "
-                "worker: the pool only shrinks)"
-            )
         if self.kernel_backend not in (
             None, "auto", "reference", "numpy", "bitset", "sketch",
         ):
@@ -337,8 +279,6 @@ class GMinerConfig:
             )
         if self.store_block_tasks < 1:
             raise ValueError("store_block_tasks must be >= 1")
-        if self.max_inflight_tasks < 1:
-            raise ValueError("max_inflight_tasks must be >= 1")
         if self.steal_batch < 1:
             raise ValueError("steal_batch must be >= 1")
         if self.cache_capacity_bytes < 0:

@@ -236,12 +236,12 @@ class GMinerJob:
         self.config = config or GMinerConfig()
         self.config.validate()
         if failure_plan is not None:
-            # fail fast: a malformed chaos schedule should surface at
-            # construction, not minutes into the run.  Native fault
-            # plans target real worker processes and are only
-            # meaningful under execution="native" (lazy import:
-            # repro.native depends on this module).
-            from repro.native.chaos import NativeFaultPlan
+            # fail fast: a malformed or mismatched chaos schedule should
+            # surface at construction, not minutes into the run.  Native
+            # fault plans target real worker processes, simulated ones
+            # the modelled cluster; each runs only on its own engine
+            # (lazy import: repro.native depends on this module).
+            from repro.native.chaos import SIM_PLAN_REFUSED, NativeFaultPlan
 
             if isinstance(failure_plan, NativeFaultPlan):
                 if self.config.execution != "native":
@@ -252,6 +252,8 @@ class GMinerJob:
                         "chaos runs"
                     )
                 failure_plan.validate()
+            elif self.config.execution == "native":
+                raise ValueError(SIM_PLAN_REFUSED)
             else:
                 failure_plan.validate(num_nodes=self.config.cluster.num_nodes)
         self.failure_plan = failure_plan
@@ -337,9 +339,8 @@ class GMinerJob:
 
     def run(self) -> JobResult:
         if self.config.execution == "native":
-            # the real multiprocess engine; refuses simulated failure
-            # plans and has no simulated timeline (lazy import:
-            # repro.native depends on this module)
+            # the real multiprocess engine, with no simulated timeline
+            # (lazy import: repro.native depends on this module)
             from repro.native import run_native
 
             return run_native(

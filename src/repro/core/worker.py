@@ -54,6 +54,14 @@ if TYPE_CHECKING:
 #: in-memory head block — the store's whole point is bounding memory
 #: (§4.3).
 STORE_BLOCK_BYTES = 262_144
+#: CMQ capacity: tasks the candidate retriever keeps waiting on remote
+#: candidates at once, per worker (§4.3).
+MAX_INFLIGHT_TASKS = 8
+#: Backpressure: the retriever stops feeding the CPQ once this many
+#: tasks are queued per core, keeping the surplus INACTIVE in the task
+#: store where it is cheap to hold (disk-backed) and visible to task
+#: stealing.
+CPQ_PER_CORE = 1
 
 
 @dataclass
@@ -335,9 +343,9 @@ class SimWorker:
     def _pump_retriever(self) -> None:
         if not self.node.alive:
             return
-        cpq_limit = self.config.cpq_per_core * self.node.cores.cores
+        cpq_limit = CPQ_PER_CORE * self.node.cores.cores
         while (
-            len(self.cmq) < self.config.max_inflight_tasks
+            len(self.cmq) < MAX_INFLIGHT_TASKS
             and self.node.cores.queued < cpq_limit
         ):
             task = self.store.pop()

@@ -15,7 +15,8 @@ enforces the contract differentially; DESIGN.md states it precisely.
 
 The pool is *supervised* (:mod:`repro.native.supervisor`): worker
 crashes, hangs and transient chunk errors are retried within bounded
-budgets, and a :class:`NativeFaultPlan` (:mod:`repro.native.chaos`)
+budgets, and a :class:`NativeFaultPlan` (:mod:`repro.native.chaos`),
+which also carries those budgets,
 injects real seeded faults so the contract is asserted under chaos —
 survivable schedules stay bit-identical to the fault-free run;
 unsurvivable ones raise a structured :class:`NativeChunkError`.
@@ -36,9 +37,6 @@ from repro.native.runtime import (
     run_task,
 )
 from repro.native.supervisor import (
-    DEFAULT_CHUNK_DEADLINE,
-    DEFAULT_MAX_CHUNK_RETRIES,
-    DEFAULT_MAX_RESPAWNS,
     ChunkFailure,
     NativeChunkError,
     Supervisor,
@@ -47,9 +45,6 @@ from repro.native.supervisor import (
 __all__ = [
     "ChunkFailure",
     "ChunkOutcome",
-    "DEFAULT_CHUNK_DEADLINE",
-    "DEFAULT_MAX_CHUNK_RETRIES",
-    "DEFAULT_MAX_RESPAWNS",
     "FAULT_EXIT_CODE",
     "NativeChunkError",
     "NativeFaultPlan",

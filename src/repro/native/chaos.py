@@ -20,13 +20,19 @@ processes*:
   lease margins without tripping them);
 * ``flaky_chunk(chunk_id, failures=n)`` — the first ``n`` execution
   attempts of that chunk raise a transient error (survivable iff
-  ``n <= native_max_chunk_retries``, else the chunk is quarantined and
+  ``n <= max_chunk_retries``, else the chunk is quarantined and
   the run fails with a structured
   :class:`~repro.native.supervisor.NativeChunkError`);
 * ``random_chunk_errors(rate)`` — every (chunk, attempt) pair fails
   with probability ``rate``, drawn deterministically from the plan
   seed, so two runs of the same plan inject the identical schedule
   with no cross-process shared state.
+
+The plan also carries the supervision budgets the schedule is run
+under — ``chunk_deadline``, ``max_chunk_retries`` and
+``max_respawns`` (DESIGN.md §7) — so a schedule and the budgets that
+make it survivable are written down together.  A job without a plan
+runs under the field defaults.
 
 Every query the pool makes against the plan is a pure function of
 ``(seed, worker id, claim index, chunk id, attempt)``; a plan is
@@ -58,6 +64,16 @@ FAULT_EXIT_CODE = 173
 #: deadline, so the supervisor always wins the race, while still
 #: bounded in case supervision is disabled and the pool is abandoned.
 HANG_FOREVER = 3600.0
+
+#: Why a native job refuses a simulated ``FailurePlan``.
+SIM_PLAN_REFUSED = (
+    "native execution cannot run a simulated failure_plan: "
+    "link faults, reboots and checkpoint recovery live in the "
+    "simulated cluster — use execution='sim' for those chaos "
+    "runs, or a repro.native.NativeFaultPlan to inject real "
+    "process-level faults (crashes, hangs, transient chunk "
+    "errors) into the native pool"
+)
 
 
 @dataclass(frozen=True)
@@ -106,7 +122,7 @@ class NativeFaultPlan:
     Builder methods return ``self`` so schedules chain fluently::
 
         plan = (
-            NativeFaultPlan(seed=7)
+            NativeFaultPlan(seed=7, max_chunk_retries=3)
             .crash(0, on_claim=1)
             .flaky_chunk(3, failures=2)
             .slow(1, delay=0.05)
@@ -123,6 +139,20 @@ class NativeFaultPlan:
     #: Probability that any given (chunk, attempt) execution raises an
     #: injected transient error; drawn deterministically from ``seed``.
     error_rate: float = 0.0
+
+    # -- supervision budgets -------------------------------------------
+
+    #: Wall-clock seconds one chunk attempt may hold its lease before
+    #: the supervisor presumes its worker hung, terminates it and
+    #: retries the chunk elsewhere.
+    chunk_deadline: float = 60.0
+    #: Failed attempts (worker deaths, lease expiries, transient
+    #: errors) a chunk may accrue beyond its first before it is
+    #: quarantined and the run fails with a ``NativeChunkError``.
+    max_chunk_retries: int = 2
+    #: Dead workers the supervisor may replace, pool-wide, before the
+    #: pool only shrinks (and, once empty, finishes in-process).
+    max_respawns: int = 2
 
     # -- builders ------------------------------------------------------
 
@@ -182,9 +212,26 @@ class NativeFaultPlan:
         Worker/chunk ids are *not* bounds-checked (a spec naming a
         worker the pool never grows simply never fires — the plan stays
         reusable across pool sizes), but negative ids, negative claim
-        indices, non-positive durations/delays/failure counts and
-        rates outside ``[0, 1]`` are schedule bugs, not chaos inputs.
+        indices, non-positive durations/delays/failure counts,
+        rates outside ``[0, 1]`` and out-of-range budgets are schedule
+        bugs, not chaos inputs.
         """
+        if not (self.chunk_deadline > 0 and math.isfinite(self.chunk_deadline)):
+            raise ValueError(
+                f"chunk_deadline must be a positive (finite) number of "
+                f"wall-clock seconds; got {self.chunk_deadline!r}"
+            )
+        if self.max_chunk_retries < 0:
+            raise ValueError(
+                f"max_chunk_retries cannot be negative; got "
+                f"{self.max_chunk_retries!r} (0 quarantines a chunk on its "
+                "first failure)"
+            )
+        if self.max_respawns < 0:
+            raise ValueError(
+                f"max_respawns cannot be negative; got {self.max_respawns!r} "
+                "(0 never replaces a dead worker: the pool only shrinks)"
+            )
         for spec in self.crashes:
             self._check_worker(spec.worker, "crash")
             if spec.on_claim < 0:
@@ -280,7 +327,8 @@ class NativeFaultPlan:
 
     @property
     def empty(self) -> bool:
-        """True when the plan injects nothing at all."""
+        """True when the plan injects nothing at all (its budgets
+        govern recovery, they inject nothing)."""
         return not (
             self.crashes or self.hangs or self.slows or self.flaky
         ) and self.error_rate == 0.0

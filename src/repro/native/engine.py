@@ -55,13 +55,8 @@ from repro.core.api import GMinerApp
 from repro.core.config import GMinerConfig
 from repro.core.job import JobResult, JobStatus
 from repro.graph.graph import Graph
-from repro.native.chaos import NativeFaultPlan
-from repro.native.supervisor import (
-    DEFAULT_CHUNK_DEADLINE,
-    DEFAULT_MAX_CHUNK_RETRIES,
-    DEFAULT_MAX_RESPAWNS,
-    Supervisor,
-)
+from repro.native.chaos import SIM_PLAN_REFUSED, NativeFaultPlan
+from repro.native.supervisor import Supervisor
 from repro.obs import MASTER_TID, ObsSession, current_collector
 
 __all__ = [
@@ -115,9 +110,10 @@ def run_native(
     ``config.native_workers`` sizes the pool (``None`` → every host
     core).  ``failure_plan`` accepts a
     :class:`~repro.native.chaos.NativeFaultPlan` (real process-level
-    chaos, supervised and retried); simulated ``FailurePlan`` objects
-    are refused.  The returned result mirrors the simulated one where
-    the quantity exists natively — ``value``, ``aggregated``,
+    chaos, supervised and retried within the plan's budgets, or the
+    plan fields' defaults without one); simulated ``FailurePlan``
+    objects are refused.  The returned result mirrors the simulated
+    one where the quantity exists natively — ``value``, ``aggregated``,
     ``num_results``, ``stats["work_units"]``/``["tasks_created"]``/
     ``["rounds_executed"]`` — and records wall-clock time plus
     schedule-dependent diagnostics (including the supervisor's
@@ -143,31 +139,9 @@ def run_native(
             failure_plan.validate()
             fault_plan = failure_plan
         else:
-            raise ValueError(
-                "native execution cannot run a simulated failure_plan: "
-                "link faults, reboots and checkpoint recovery live in the "
-                "simulated cluster — use execution='sim' for those chaos "
-                "runs, or a repro.native.NativeFaultPlan to inject real "
-                "process-level faults (crashes, hangs, transient chunk "
-                "errors) into the native pool"
-            )
+            raise ValueError(SIM_PLAN_REFUSED)
     num_workers = config.native_workers or default_native_workers()
     backend = config.kernel_backend
-    chunk_deadline = (
-        config.native_chunk_deadline
-        if config.native_chunk_deadline is not None
-        else DEFAULT_CHUNK_DEADLINE
-    )
-    max_chunk_retries = (
-        config.native_max_chunk_retries
-        if config.native_max_chunk_retries is not None
-        else DEFAULT_MAX_CHUNK_RETRIES
-    )
-    max_respawns = (
-        config.native_max_respawns
-        if config.native_max_respawns is not None
-        else DEFAULT_MAX_RESPAWNS
-    )
 
     collector = current_collector()
     obs: Optional[ObsSession] = None
@@ -205,9 +179,6 @@ def run_native(
             chunks=chunks,
             num_workers=num_workers,
             fault_plan=fault_plan,
-            chunk_deadline=chunk_deadline,
-            max_chunk_retries=max_chunk_retries,
-            max_respawns=max_respawns,
             obs=obs,
             cancel=cancel,
             job_deadline=config.job_deadline,

@@ -10,7 +10,7 @@ process dying:
   (OOM kill, segfault, injected ``os._exit``) forfeits the chunk the
   worker held and triggers a bounded respawn;
 * **chunk leases** — the parent stamps every attempt it dispatches; a
-  worker that holds a chunk past ``native_chunk_deadline`` is presumed
+  worker that holds a chunk past the plan's ``chunk_deadline`` is presumed
   hung, terminated, and its chunk forfeited;
 * **retry with reassignment** — forfeited and transiently-failed
   chunks are dispatched again, to any idle worker, with an explicit
@@ -19,15 +19,19 @@ process dying:
   what the first attempt would have produced, so the merged result
   never depends on the fault schedule;
 * **poison quarantine** — a chunk that exhausts
-  ``native_max_chunk_retries`` is quarantined with its per-attempt
+  ``max_chunk_retries`` is quarantined with its per-attempt
   error log; the run then fails with a structured
   :class:`NativeChunkError` instead of hanging or dying on a bare
   traceback;
 * **graceful degradation** — respawns are bounded by
-  ``native_max_respawns``; past the budget the pool shrinks, and if it
+  ``max_respawns``; past the budget the pool shrinks, and if it
   empties entirely the remaining chunks execute serially in-process
   (the final fallback), so ``mine()`` returns either the exact answer
   or a precise diagnosis.
+
+The three budgets are fields of the job's
+:class:`~repro.native.chaos.NativeFaultPlan`; a job without a plan runs
+under that class's defaults.
 
 Dispatch is parent-side, like the paper's master: the supervisor keeps
 a ``pending`` queue of chunk ids and a ``held`` map from worker id to
@@ -64,12 +68,6 @@ from repro import kernels
 from repro.core.errors import JobCancelled, JobDeadlineExceeded
 from repro.native.chaos import FAULT_EXIT_CODE, HANG_FOREVER, NativeFaultPlan
 from repro.native.runtime import ChunkOutcome, execute_chunk
-
-#: Engine defaults for the supervision knobs, used when the
-#: corresponding ``GMinerConfig`` field is ``None``.
-DEFAULT_CHUNK_DEADLINE = 60.0
-DEFAULT_MAX_CHUNK_RETRIES = 2
-DEFAULT_MAX_RESPAWNS = 2
 
 #: The supervision tallies: ``Supervisor.diag``'s keys, and with them
 #: ``result.native``'s.  Each is also a ``native.<name>`` obs counter.
@@ -234,7 +232,8 @@ class Supervisor:
     chunks were quarantined.  Any exception path (including
     ``KeyboardInterrupt``) terminates and joins every child: no orphan
     workers.  ``ctx=None`` runs every chunk in-process instead of in a
-    pool of ``num_workers``.
+    pool of ``num_workers``.  The supervision budgets are
+    ``fault_plan``'s, or :class:`NativeFaultPlan`'s defaults without one.
     """
 
     def __init__(
@@ -247,9 +246,6 @@ class Supervisor:
         chunks: List[List[int]],
         num_workers: int,
         fault_plan: Optional[NativeFaultPlan] = None,
-        chunk_deadline: Optional[float] = DEFAULT_CHUNK_DEADLINE,
-        max_chunk_retries: int = DEFAULT_MAX_CHUNK_RETRIES,
-        max_respawns: int = DEFAULT_MAX_RESPAWNS,
         obs=None,
         cancel=None,
         job_deadline: Optional[float] = None,
@@ -262,9 +258,10 @@ class Supervisor:
         self.chunks = chunks
         self.num_workers = num_workers
         self.fault_plan = fault_plan
-        self.chunk_deadline = chunk_deadline
-        self.max_chunk_retries = max_chunk_retries
-        self.max_respawns = max_respawns
+        budgets = fault_plan if fault_plan is not None else NativeFaultPlan()
+        self.chunk_deadline = budgets.chunk_deadline
+        self.max_chunk_retries = budgets.max_chunk_retries
+        self.max_respawns = budgets.max_respawns
         self.obs = obs
         #: Cooperative cancellation: an ``is_set()``-bearing object
         #: (typically ``threading.Event``) checked every control-loop
@@ -484,8 +481,6 @@ class Supervisor:
                 )
 
     def _expire_leases(self) -> None:
-        if self.chunk_deadline is None:
-            return
         now = time.monotonic()
         for wid, (chunk_id, _, dispatched) in list(self.held.items()):
             if now - dispatched <= self.chunk_deadline:

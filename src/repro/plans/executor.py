@@ -37,6 +37,7 @@ plan-vs-distributed differential tests.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
@@ -50,6 +51,7 @@ from repro.plans.compiler import CompiledStep, ExecutionPlan
 
 PartialImage = Tuple[int, ...]
 _INF = float("inf")  # absent order bound; vertex ids may be negative
+_SIZE = itemgetter(0)
 
 # Unused in src; kept because benchmarks/e2e/layers.py imports the function.
 BITSET_DENSITY_THRESHOLD = 0.05
@@ -102,11 +104,14 @@ def run_step(
         key = (*[partial[q] for q in sources], lower, upper)
         entry = memo.get(key)
         if entry is None:
-            arrays = [data_of(vid).neighbors_array() for vid in key[:-2]]
-            scanned = sum([len(array) for array in arrays])
-            arrays.sort(key=len)  # tightest running set first
-            cands = arrays[0]
-            for array in arrays[1:]:
+            sized = [
+                (len(array), array)
+                for array in [data_of(vid).neighbors_array() for vid in key[:-2]]
+            ]
+            sized.sort(key=_SIZE)  # tightest running set first (stable)
+            scanned = sum([size for size, _ in sized])
+            cands = sized[0][1]
+            for _, array in sized[1:]:
                 cands = kernels.intersect(cands, array)
             if lower_of:
                 cands = kernels.slice_gt(cands, lower)

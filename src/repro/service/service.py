@@ -61,6 +61,11 @@ __all__ = [
 
 _PRIORITY_RANK = {"high": 0, "normal": 1, "low": 2}
 
+#: Work units per virtual second billed for a native job: native runs
+#: have no simulated clock, yet the service must still bill them
+#: deterministic time.
+NATIVE_VIRTUAL_RATE = 1000.0
+
 
 class AdmissionRejected(RuntimeError):
     """The service refused a job at the door.
@@ -121,9 +126,6 @@ class ServiceConfig:
     ``slice_seconds`` is how much *simulated* time a sliced job may
     advance per dispatch — small slices keep high-priority arrivals
     from sitting behind a long low-priority job (anti-inversion).
-    ``native_virtual_rate`` converts a native job's work units into
-    virtual service seconds (native runs have no simulated clock; the
-    service must still bill them deterministic time).
     """
 
     max_queue_depth: int = 64
@@ -136,14 +138,12 @@ class ServiceConfig:
     tenant_weights: Dict[str, float] = field(default_factory=dict)
     #: Worker-count ceiling for any native job this service dispatches.
     native_worker_budget: int = 2
-    #: Work units per virtual second billed for native jobs.
-    native_virtual_rate: float = 1000.0
 
     def validate(self) -> None:
         for name in ("max_queue_depth", "max_inflight_per_tenant", "max_running"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        for name in ("slice_seconds", "quantum_work_units", "native_virtual_rate"):
+        for name in ("slice_seconds", "quantum_work_units"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         if self.native_worker_budget < 1:
@@ -674,7 +674,7 @@ class MiningService:
         assert result is not None
         charged = max(float(result.stats.get("work_units", 0.0)), 1.0)
         record.work_charged += charged
-        self.now += charged / self.config.native_virtual_rate
+        self.now += charged / NATIVE_VIRTUAL_RATE
         self._log("run-native", record.handle.job_id, charged)
         record.result = result
         self._finish(record, JobState.DONE, None)

@@ -211,9 +211,8 @@ def run_native(
     *,
     pattern=None,
     failure_plan: Optional[NativeFaultPlan] = None,
-    **config: Any,
 ):
-    """One native-engine run (``config``: the supervision knobs)."""
+    """One native-engine run."""
     # chunk_size 16 so even the fuzzer's small graphs split into
     # enough chunks that workers=2 genuinely exercises the pool
     native = GMinerConfig(
@@ -221,7 +220,6 @@ def run_native(
         native_workers=workers,
         native_chunk_size=16,
         kernel_backend=backend,
-        **config,
     )
     return _job(case, pattern, native, failure_plan).run()
 
@@ -448,15 +446,22 @@ def chaos_plan_for_case(case: Dict[str, Any]) -> NativeFaultPlan:
     """A seeded, *guaranteed-survivable* fault schedule for this case.
 
     Derived deterministically from the case seed so replays inject the
-    identical chaos.  Survivability is by construction: crash/hang
-    specs target only the two original worker ids (at most two deaths,
-    covered by the respawn budget the chaotic run grants), injected
-    flaky failures never exceed the retry budget, and the random error
-    rate is low enough that the deterministic per-(chunk, attempt)
-    draws cannot realistically exhaust it.
+    identical chaos.  Survivability is by construction, against the
+    budgets the plan itself carries: crash/hang specs target only the
+    two original worker ids (at most two deaths, covered by
+    ``max_respawns=2``), injected flaky failures (at most two per
+    chunk) stay within ``max_chunk_retries=10``, which also leaves the
+    low random error rate's deterministic per-(chunk, attempt) draws no
+    realistic way to exhaust it, and the half-second ``chunk_deadline``
+    resolves an until-terminated hang in fuzz time.
     """
     rng = random.Random(case["seed"] * 7_919 + 5)
-    plan = NativeFaultPlan(seed=case["seed"])
+    plan = NativeFaultPlan(
+        seed=case["seed"],
+        chunk_deadline=0.5,
+        max_chunk_retries=10,
+        max_respawns=2,
+    )
     if rng.random() < 0.6:
         plan.crash(rng.randrange(2), on_claim=rng.randrange(2))
     if rng.random() < 0.3:
@@ -493,13 +498,6 @@ def check_native_chaos_axis(case: Dict[str, Any], exact_value: Any) -> List[str]
             backend_a,
             2,
             failure_plan=chaos_plan_for_case(pure),
-            # a tight lease so until-terminated hangs resolve in fuzz
-            # time, and budgets that provably cover
-            # chaos_plan_for_case's worst case (two targeted deaths,
-            # <=2 injected failures per chunk)
-            native_chunk_deadline=0.5,
-            native_max_chunk_retries=10,
-            native_max_respawns=2,
         )
     except NativeChunkError as error:
         return [

@@ -41,8 +41,8 @@ class TestConfig:
             ("partitioner", "random"),
             ("cache_policy", "mru"),
             ("store_block_tasks", 0),
-            ("max_inflight_tasks", 0),
             ("steal_batch", 0),
+            ("processes_per_node", 0),
             ("cache_capacity_bytes", -1),
         ],
     )
@@ -53,24 +53,38 @@ class TestConfig:
     def test_every_config_field_is_read(self):
         """The knob audit: a field nothing reads is dead weight on every
         config, and a new one must come with the code that consumes it."""
-        names = [f.name for f in dataclasses.fields(GMinerConfig)]
-        assert len(names) == 34
-        root = pathlib.Path(repro.__file__).parent
-        config_py = root / "core" / "config.py"
-        sources = [
-            path.read_text(encoding="utf-8")
-            for path in sorted(root.rglob("*.py"))
-            if path != config_py
-        ]
-        # inside config.py only what precedes validate() counts (that is
-        # sketch_params()): a range check alone is not a use
-        config_text = config_py.read_text(encoding="utf-8")
-        sources.append(config_text.split("    def validate(")[0])
-        unread = [
-            name for name in names
-            if not any(re.search(rf"\.{name}\b(?!\s*=[^=])", text) for text in sources)
-        ]
-        assert unread == []
+        assert len(dataclasses.fields(GMinerConfig)) == 29
+        assert _unread_fields(GMinerConfig, "core/config.py") == []
+
+    def test_every_service_config_field_is_read(self):
+        """The same audit for the service's capacity and fairness knobs."""
+        from repro.service import ServiceConfig
+
+        assert len(dataclasses.fields(ServiceConfig)) == 7
+        assert _unread_fields(ServiceConfig, "service/service.py") == []
+
+
+def _unread_fields(config_cls, module):
+    """Fields of ``config_cls`` that no source under ``repro`` reads.
+
+    A read is ``.name`` not followed by an assignment.  In ``module``,
+    where the class lives, its ``validate()`` does not count: a range
+    check alone is not a use.
+    """
+    root = pathlib.Path(repro.__file__).parent
+    own = root / module
+    sources = [
+        path.read_text(encoding="utf-8")
+        for path in sorted(root.rglob("*.py"))
+        if path != own
+    ]
+    head, _, rest = own.read_text(encoding="utf-8").partition("    def validate(")
+    # validate() runs to the class's next method (or the module's end)
+    sources.append(head + rest.partition("\n    def ")[2])
+    return [
+        f.name for f in dataclasses.fields(config_cls)
+        if not any(re.search(rf"\.{f.name}\b(?!\s*=[^=])", text) for text in sources)
+    ]
 
 
 class _T(Task):

@@ -80,8 +80,8 @@ class TestConfigIndependence:
             {"enable_stealing": False},
             {"cache_capacity_bytes": 4096},
             {"store_block_tasks": 2},
-            {"max_inflight_tasks": 1},
-            {"cpq_per_core": 5},
+            {"steal_batch": 1},
+            {"steal_cost_threshold": 0.0},
             {"task_buffer_batch": 1},
             {"processes_per_node": 2},
             {"agg_interval": 0.001},

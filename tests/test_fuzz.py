@@ -198,6 +198,26 @@ class TestPlanAxis:
 
 
 class TestNativeChaosAxis:
+    def test_chaos_plan_budgets_cover_its_schedule(self):
+        """The plan is survivable by construction against the budgets it
+        carries: every worker it can kill or hang is one respawn, every
+        flaky chunk's failures fit the retry budget, and a hang until
+        terminated meets a lease short enough for fuzz time."""
+        for seed in range(300):
+            plan = fuzz.chaos_plan_for_case({"seed": seed})
+            plan.validate()
+            # the budgets the chaos leg has always run under
+            assert (plan.chunk_deadline, plan.max_chunk_retries,
+                    plan.max_respawns) == (0.5, 10, 2), seed
+            targets = {spec.worker for spec in plan.crashes + plan.hangs}
+            assert None not in targets, seed
+            assert len(targets) <= plan.max_respawns, seed
+            assert all(
+                spec.failures <= plan.max_chunk_retries for spec in plan.flaky
+            ), seed
+            if any(spec.duration is None for spec in plan.hangs):
+                assert plan.chunk_deadline < 1.0, seed
+
     def test_detects_unsurvived_schedule(self, monkeypatch):
         """A chunk that fails more often than the retry budget covers
         must surface as a mismatch, not as a crash of the fuzzer."""

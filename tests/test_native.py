@@ -11,9 +11,10 @@ Three families of guarantees:
   aggregated bound;
 * **native determinism** — the full result is byte-identical across
   worker counts and repeated runs, the dispatch order notwithstanding;
-* **refusals and knobs** — failure plans fail fast, config validation
-  rejects nonsense, ``backend="auto"`` never changes explicit-backend
-  results, ``explain=True`` runs nothing.
+* **refusals and knobs** — mismatched failure plans fail at
+  construction, config and budget validation reject nonsense,
+  ``backend="auto"`` never changes explicit-backend results,
+  ``explain=True`` runs nothing.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.graph.generators import random_attributes
 from repro.mining.cost import WorkMeter
 from repro.native import execute_chunk, run_native, seed_chunks
 from repro.plans import PlanApp, compile_pattern, count_plan_sequential, motif
+from repro.plans.api import prepare_job
 from repro.sim.cluster import ClusterSpec
 from repro.sim.failures import FailurePlan
 from repro.verify.metamorphic import normalize_value
@@ -437,12 +439,18 @@ def test_native_refuses_failure_plan_direct():
 
 
 def test_native_refuses_failure_plan_via_job():
+    # refused at construction, like a NativeFaultPlan on a sim job: a
+    # mismatched plan never reaches a queue or a running slot
     graph = make_clustered_graph()
     plan = FailurePlan(seed=5).kill(0, at_time=0.05, recovery_delay=0.02)
     config = GMinerConfig(execution="native", checkpoint_interval=0.05)
-    job = GMinerJob(TriangleCountingApp(), graph, config, plan)
     with pytest.raises(ValueError, match="sim"):
-        job.run()
+        GMinerJob(TriangleCountingApp(), graph, config, plan)
+    with pytest.raises(ValueError, match="failure_plan"):
+        prepare_job(
+            graph, workload="tc", execution="native",
+            failure_plan=FailurePlan().kill(0, at_time=0.1),
+        )
 
 
 def test_config_validation():
@@ -454,32 +462,57 @@ def test_config_validation():
         GMinerConfig(native_chunk_size=0)
 
 
-def test_supervision_knobs_validation():
-    # the supervision knobs are native-only: setting them on a
-    # simulated job fails fast at construction
-    with pytest.raises(ValueError, match="native_chunk_deadline"):
-        GMinerConfig(native_chunk_deadline=5.0)
-    with pytest.raises(ValueError, match="native_max_chunk_retries"):
-        GMinerConfig(native_max_chunk_retries=3)
-    with pytest.raises(ValueError, match="native_max_respawns"):
-        GMinerConfig(native_max_respawns=1)
-    # and nonsense values fail even under execution="native"
-    with pytest.raises(ValueError, match="native_chunk_deadline"):
-        GMinerConfig(execution="native", native_chunk_deadline=0.0)
-    with pytest.raises(ValueError, match="native_chunk_deadline"):
-        GMinerConfig(execution="native", native_chunk_deadline=float("inf"))
-    with pytest.raises(ValueError, match="native_max_chunk_retries"):
-        GMinerConfig(execution="native", native_max_chunk_retries=-1)
-    with pytest.raises(ValueError, match="native_max_respawns"):
-        GMinerConfig(execution="native", native_max_respawns=-1)
-    # the happy path constructs (0 is a legal bound for both budgets)
-    config = GMinerConfig(
-        execution="native",
-        native_chunk_deadline=30.0,
-        native_max_chunk_retries=0,
-        native_max_respawns=0,
+def test_supervision_budget_validation():
+    from repro.native import NativeFaultPlan
+
+    # the budgets ride on the plan, so no config can set them for a
+    # simulated job, and nonsense values fail at validation
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="chunk_deadline"):
+            NativeFaultPlan(chunk_deadline=bad).validate()
+    with pytest.raises(ValueError, match="max_chunk_retries"):
+        NativeFaultPlan(max_chunk_retries=-1).validate()
+    with pytest.raises(ValueError, match="max_respawns"):
+        NativeFaultPlan(max_respawns=-1).validate()
+    # a bad budget surfaces at job construction, not in the pool
+    config = GMinerConfig(execution="native")
+    with pytest.raises(ValueError, match="max_respawns"):
+        GMinerJob(
+            TriangleCountingApp(), make_clustered_graph(), config,
+            NativeFaultPlan(max_respawns=-1),
+        )
+    # the happy path validates (0 is a legal bound for both counts),
+    # and budgets alone inject nothing
+    plan = NativeFaultPlan(
+        chunk_deadline=30.0, max_chunk_retries=0, max_respawns=0
     )
-    assert config.native_chunk_deadline == 30.0
+    plan.validate()
+    assert plan.empty
+    defaults = NativeFaultPlan()
+    assert (defaults.chunk_deadline, defaults.max_chunk_retries,
+            defaults.max_respawns) == (60.0, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [TriangleCountingApp, lambda: PlanApp(compile_pattern(motif("tailed-triangle")))],
+    ids=["tc", "tailed-triangle"],
+)
+def test_single_worker_without_plan_creates_no_process(monkeypatch, factory):
+    """One worker and no fault plan run in-process: the engine never
+    asks for a process context, so no worker process exists."""
+    from repro.native import engine
+
+    def no_pool():
+        raise AssertionError("a 1-worker job without a plan built a pool")
+
+    graph = make_clustered_graph()
+    pooled = _native(factory, graph, 2)
+    monkeypatch.setattr(engine, "_pool_context", no_pool)
+    inproc = _native(factory, graph, 1)
+    assert inproc.native["workers"] == 1
+    assert _comparable_dict(inproc) == _comparable_dict(pooled)
+    assert multiprocessing.active_children() == []
 
 
 def test_auto_backend_leaves_explicit_backends_unchanged(small_social_graph):

@@ -41,50 +41,37 @@ pytestmark = pytest.mark.chaos
 POOL = dict(native_workers=4, native_chunk_size=8)
 
 #: Every survivable schedule the acceptance criteria sweep:
-#: (name, plan builder, extra config knobs).  Each plan is freshly
-#: built per test (builders mutate the plan in place).
+#: (name, plan builder).  Each plan is freshly built per test
+#: (builders mutate the plan in place) and carries the supervision
+#: budgets that make it survivable.
 SURVIVABLE = [
-    (
-        "crash-first-claim",
-        lambda: NativeFaultPlan(seed=11).crash(0, on_claim=0),
-        {},
-    ),
-    (
-        "crash-late",
-        lambda: NativeFaultPlan(seed=12).crash(1, on_claim=1),
-        {},
-    ),
+    ("crash-first-claim", lambda: NativeFaultPlan(seed=11).crash(0, on_claim=0)),
+    ("crash-late", lambda: NativeFaultPlan(seed=12).crash(1, on_claim=1)),
     (
         "double-crash",
         lambda: NativeFaultPlan(seed=13).crash(0, on_claim=0).crash(1, on_claim=1),
-        {},
     ),
     (
         "hang-until-deadline",
-        lambda: NativeFaultPlan(seed=14).hang(0, on_claim=0),
-        {"native_chunk_deadline": 0.3},
+        lambda: NativeFaultPlan(seed=14, chunk_deadline=0.3).hang(0, on_claim=0),
     ),
     (
         "finite-hang",
         lambda: NativeFaultPlan(seed=15).hang(1, on_claim=0, duration=0.05),
-        {},
     ),
     (
         "flaky-chunks",
         lambda: NativeFaultPlan(seed=16)
         .flaky_chunk(0, failures=2)
         .flaky_chunk(2, failures=1),
-        {},
     ),
     (
         "random-errors",
-        lambda: NativeFaultPlan(seed=17).random_chunk_errors(0.25),
-        {"native_max_chunk_retries": 8},
+        lambda: NativeFaultPlan(seed=17, max_chunk_retries=8).random_chunk_errors(0.25),
     ),
     (
         "crash-storm-serial-fallback",
-        lambda: NativeFaultPlan(seed=18).crash(on_claim=0),
-        {"native_max_respawns": 1},
+        lambda: NativeFaultPlan(seed=18, max_respawns=1).crash(on_claim=0),
     ),
     (
         "mixed",
@@ -92,10 +79,9 @@ SURVIVABLE = [
         .crash(0, on_claim=1)
         .flaky_chunk(1, failures=1)
         .slow(1, delay=0.01),
-        {},
     ),
 ]
-SCHEDULE_IDS = [name for name, _, _ in SURVIVABLE]
+SCHEDULE_IDS = [name for name, _ in SURVIVABLE]
 #: The cheap representative subset swept against every workload (the
 #: full schedule list runs against tc and the compiled plan).
 CORE_SCHEDULES = [
@@ -110,8 +96,8 @@ def _run(app_factory, graph, plan=None, **knobs):
     return GMinerJob(app_factory(), graph, config, plan).run()
 
 
-def _assert_bit_identical(app_factory, graph, plan_builder, knobs):
-    chaotic = _run(app_factory, graph, plan_builder(), **knobs)
+def _assert_bit_identical(app_factory, graph, plan_builder):
+    chaotic = _run(app_factory, graph, plan_builder())
     clean = _run(app_factory, graph)
     assert chaotic.status is JobStatus.OK
     # the whole serialised result — value, num_results, every stats
@@ -138,15 +124,15 @@ def test_all_workloads_bit_identical_under_chaos(workload, schedule):
         # a smaller instance keeps the chaos sweep fast without losing
         # the multi-chunk pool shape (48 vertices -> 6 chunks)
         graph = make_clustered_graph(n=48)
-    _, plan_builder, knobs = schedule
-    _assert_bit_identical(factory, graph, plan_builder, knobs)
+    _, plan_builder = schedule
+    _assert_bit_identical(factory, graph, plan_builder)
 
 
 @pytest.mark.parametrize("schedule", SURVIVABLE, ids=SCHEDULE_IDS)
 def test_every_schedule_bit_identical_on_tc(schedule):
-    name, plan_builder, knobs = schedule
+    name, plan_builder = schedule
     graph = make_clustered_graph()
-    chaotic = _assert_bit_identical(TriangleCountingApp, graph, plan_builder, knobs)
+    chaotic = _assert_bit_identical(TriangleCountingApp, graph, plan_builder)
     # the schedule actually fired (diagnostics prove the chaos was real)
     fired = (
         chaotic.native["crashes"] + chaotic.native["hangs"]
@@ -163,10 +149,10 @@ def test_every_schedule_bit_identical_on_tc(schedule):
 
 @pytest.mark.parametrize("schedule", SURVIVABLE, ids=SCHEDULE_IDS)
 def test_compiled_plan_bit_identical_under_chaos(schedule):
-    _, plan_builder, knobs = schedule
+    _, plan_builder = schedule
     graph = make_clustered_graph()
     factory = lambda: PlanApp(compile_pattern(motif("tailed-triangle")))
-    _assert_bit_identical(factory, graph, plan_builder, knobs)
+    _assert_bit_identical(factory, graph, plan_builder)
 
 
 def test_repeated_chaos_runs_identical():
@@ -200,10 +186,8 @@ def test_mine_accepts_native_fault_plan(small_social_graph):
 
 def test_pool_shrinks_when_respawn_budget_is_zero():
     graph = make_clustered_graph()
-    plan = NativeFaultPlan(seed=31).crash(0, on_claim=0)
-    chaotic = _run(
-        TriangleCountingApp, graph, plan, native_max_respawns=0
-    )
+    plan = NativeFaultPlan(seed=31, max_respawns=0).crash(0, on_claim=0)
+    chaotic = _run(TriangleCountingApp, graph, plan)
     clean = _run(TriangleCountingApp, graph)
     assert _comparable_dict(chaotic) == _comparable_dict(clean)
     assert chaotic.native["crashes"] == 1
@@ -243,10 +227,8 @@ def test_crash_storm_degrades_to_serial_fallback():
     graph = make_clustered_graph()
     # every worker, original or respawned, dies at its first pickup:
     # the pool must empty and the serial fallback finish the job
-    plan = NativeFaultPlan(seed=37).crash(on_claim=0)
-    chaotic = _run(
-        TriangleCountingApp, graph, plan, native_max_respawns=2
-    )
+    plan = NativeFaultPlan(seed=37, max_respawns=2).crash(on_claim=0)
+    chaotic = _run(TriangleCountingApp, graph, plan)
     clean = _run(TriangleCountingApp, graph)
     assert _comparable_dict(chaotic) == _comparable_dict(clean)
     assert chaotic.native["respawns"] == 2
@@ -261,20 +243,19 @@ def test_crash_storm_degrades_to_serial_fallback():
 SPAWN_SCHEDULES = [
     (
         "crash",
-        lambda: NativeFaultPlan(seed=73).crash(on_claim=0),
-        {"native_max_respawns": 1},
+        lambda: NativeFaultPlan(seed=73, max_respawns=1).crash(on_claim=0),
         {"crashes": 5, "respawns": 1},
     ),
     (
         "hang",
-        lambda: NativeFaultPlan(seed=79).hang(on_claim=0),
-        {"native_chunk_deadline": 0.3, "native_max_respawns": 0},
+        lambda: NativeFaultPlan(
+            seed=79, chunk_deadline=0.3, max_respawns=0
+        ).hang(on_claim=0),
         {"hangs": 4, "leases_expired": 4},
     ),
     (
         "flaky-chunk",
         lambda: NativeFaultPlan(seed=83).flaky_chunk(0, failures=2).flaky_chunk(2),
-        {},
         {"chunk_errors": 3, "retries": 3, "fallback_chunks": 0},
     ),
 ]
@@ -292,9 +273,9 @@ def test_spawn_pool_survives_faults(monkeypatch, schedule):
     monkeypatch.setattr(
         engine, "_pool_context", lambda: multiprocessing.get_context("spawn")
     )
-    _, plan_builder, knobs, tallies = schedule
+    _, plan_builder, tallies = schedule
     chaotic = _assert_bit_identical(
-        TriangleCountingApp, make_clustered_graph(), plan_builder, knobs
+        TriangleCountingApp, make_clustered_graph(), plan_builder
     )
     assert {key: chaotic.native[key] for key in tallies} == tallies
     assert multiprocessing.active_children() == []
@@ -307,11 +288,11 @@ def test_spawn_pool_survives_faults(monkeypatch, schedule):
 
 def test_poison_chunk_raises_structured_error():
     graph = make_clustered_graph()
-    plan = NativeFaultPlan(seed=41).flaky_chunk(
+    plan = NativeFaultPlan(seed=41, max_chunk_retries=1).flaky_chunk(
         2, failures=99, message="injected poison"
     )
     with pytest.raises(NativeChunkError) as excinfo:
-        _run(TriangleCountingApp, graph, plan, native_max_chunk_retries=1)
+        _run(TriangleCountingApp, graph, plan)
     error = excinfo.value
     assert [f.chunk_id for f in error.failures] == [2]
     failure = error.failures[0]
@@ -327,9 +308,9 @@ def test_poison_chunk_raises_structured_error():
 
 def test_zero_retry_budget_quarantines_first_failure():
     graph = make_clustered_graph()
-    plan = NativeFaultPlan(seed=43).flaky_chunk(0, failures=1)
+    plan = NativeFaultPlan(seed=43, max_chunk_retries=0).flaky_chunk(0, failures=1)
     with pytest.raises(NativeChunkError) as excinfo:
-        _run(TriangleCountingApp, graph, plan, native_max_chunk_retries=0)
+        _run(TriangleCountingApp, graph, plan)
     assert excinfo.value.failures[0].attempts == 1
 
 
@@ -337,34 +318,31 @@ def test_real_exception_surfaces_traceback():
     graph = make_clustered_graph()
     poison = sorted(graph.vertices())[0]
     # one worker runs in-process, two in the pool: the same structured
-    # error either way
+    # error either way, after the default budget's two retries
     for workers in (1, 2):
         with pytest.raises(NativeChunkError) as excinfo:
             _run(
                 lambda: _PoisonVertexApp(poison), graph,
                 native_workers=workers,
-                native_max_chunk_retries=0,
             )
         failure = excinfo.value.failures[0]
         assert failure.chunk_id == 0, workers  # the poison vertex seeds chunk 0
-        assert "RuntimeError" in failure.errors[0], workers
-        assert "poison vertex" in failure.errors[0], workers
-        assert "Traceback" in failure.errors[0], workers
+        assert failure.attempts == len(failure.errors) == 3, workers
+        for error in failure.errors:
+            assert "RuntimeError" in error, workers
+            assert "poison vertex" in error, workers
+            assert "Traceback" in error, workers
 
 
 def test_unsurvivable_hang_fails_instead_of_hanging():
     graph = make_clustered_graph()
     # both workers hang on their first pickup, no respawns, no retries:
     # lease expiry must quarantine the held chunks and fail the run
-    plan = NativeFaultPlan(seed=47).hang(on_claim=0)
+    plan = NativeFaultPlan(
+        seed=47, chunk_deadline=0.3, max_chunk_retries=0, max_respawns=0
+    ).hang(on_claim=0)
     with pytest.raises(NativeChunkError) as excinfo:
-        _run(
-            TriangleCountingApp, graph, plan,
-            native_workers=2,
-            native_chunk_deadline=0.3,
-            native_max_chunk_retries=0,
-            native_max_respawns=0,
-        )
+        _run(TriangleCountingApp, graph, plan, native_workers=2)
     assert excinfo.value.failures  # structured, not a stall
     assert all("deadline" in f.errors[0] for f in excinfo.value.failures)
     for child in multiprocessing.active_children():
@@ -465,8 +443,8 @@ def test_supervision_counters_flow_into_obs():
     # a crash storm that empties the pool counts its in-process chunks
     storm = _run(
         TriangleCountingApp, graph,
-        NativeFaultPlan(seed=71).crash(on_claim=0),
-        native_max_respawns=1, enable_obs=True,
+        NativeFaultPlan(seed=71, max_respawns=1).crash(on_claim=0),
+        enable_obs=True,
     )
     storm_counters = storm.obs["metrics"]["counters"]
     assert storm_counters["native.fallback_chunks"] == storm.native["fallback_chunks"] > 0

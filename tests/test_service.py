@@ -113,6 +113,21 @@ class TestAdmission:
         with pytest.raises(Exception):
             MiningService().submit(tc_graph(), workload="nope")
 
+    def test_native_job_with_simulated_plan_is_refused_at_submit(self):
+        """A native job cannot run a simulated FailurePlan: submit
+        raises before the job takes a queue entry or a running slot."""
+        from repro.sim.failures import FailurePlan
+
+        service = MiningService()
+        with pytest.raises(ValueError, match="failure_plan"):
+            service.submit(
+                tc_graph(), workload="tc", execution="native",
+                failure_plan=FailurePlan().kill(0, at_time=0.1),
+            )
+        service.run_until_idle()
+        assert service._queued == [] and service._running == []
+        assert [e for e in service.schedule_log if e[0] in ("submit", "start")] == []
+
 
 # ----------------------------------------------------------------------
 # results: bit-identity with standalone mine()
@@ -568,7 +583,7 @@ class TestServiceConfig:
             dict(max_running=0),
             dict(slice_seconds=0.0),
             dict(quantum_work_units=-1.0),
-            dict(native_virtual_rate=0.0),
+            dict(native_worker_budget=0),
             dict(tenant_weights={"t": 0.0}),
         ],
     )
