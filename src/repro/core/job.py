@@ -22,7 +22,7 @@ from repro.core.api import GMinerApp
 from repro.core.config import GMinerConfig
 from repro.core.errors import JobDeadlineExceeded
 from repro.core.master import Master
-from repro.core.recovery import JobRecovery, fault_stats
+from repro.core.recovery import JobRecovery, fault_stats, master_counters
 from repro.core.worker import SimWorker
 from repro.graph.graph import Graph
 from repro.obs import MASTER_TID, ObsSession, current_collector
@@ -614,8 +614,7 @@ class GMinerJob:
         )
         if self.obs is not None:
             master.attach_obs(self.obs)
-        if self.verify is not None:
-            master.verify = self.verify
+            master_counters(self.obs.registry)
         self.master = master
 
         # distribute partitions (memory charged immediately; the time

@@ -18,6 +18,15 @@ from repro.graph.graph import VertexData
 _HEADER = 16  # framing bytes per message (incl. sequence-number slot)
 
 
+class _Fixed:
+    """A message whose body is always ``_BODY`` bytes."""
+
+    _BODY = 0
+
+    def size_bytes(self) -> int:
+        return _HEADER + self._BODY
+
+
 @dataclass
 class PullRequest:
     """Candidate retriever → remote worker: fetch these vertices.
@@ -50,28 +59,24 @@ class PullResponse:
 
 
 @dataclass
-class AggReport:
+class AggReport(_Fixed):
     """Worker → master: local aggregator partial."""
 
     worker: int
     partial: Any
-
-    def size_bytes(self) -> int:
-        return _HEADER + 16
+    _BODY = 16
 
 
 @dataclass
-class AggBroadcast:
+class AggBroadcast(_Fixed):
     """Master → workers: the merged global aggregate."""
 
     value: Any
-
-    def size_bytes(self) -> int:
-        return _HEADER + 16
+    _BODY = 16
 
 
 @dataclass
-class ProgressReport:
+class ProgressReport(_Fixed):
     """Worker → master: pipeline occupancy for the progress table."""
 
     worker: int
@@ -81,30 +86,24 @@ class ProgressReport:
     busy_cores: int
     buffer_size: int
     idle: bool
-
-    def size_bytes(self) -> int:
-        return _HEADER + 48
+    _BODY = 48
 
 
 @dataclass
-class StealRequest:
+class StealRequest(_Fixed):
     """Idle worker → master: REQ for more tasks (§6.2)."""
 
     worker: int
-
-    def size_bytes(self) -> int:
-        return _HEADER + 8
+    _BODY = 8
 
 
 @dataclass
-class MigrateCommand:
+class MigrateCommand(_Fixed):
     """Master → loaded worker: ship up to ``count`` tasks to ``dest``."""
 
     dest: int
     count: int
-
-    def size_bytes(self) -> int:
-        return _HEADER + 16
+    _BODY = 16
 
 
 @dataclass
@@ -125,38 +124,32 @@ class TaskMigration:
 
 
 @dataclass
-class MigrationAck:
+class MigrationAck(_Fixed):
     """Migration destination → source: tasks received; stop resending."""
 
     worker: int
     seq: int
-
-    def size_bytes(self) -> int:
-        return _HEADER + 16
+    _BODY = 16
 
 
 @dataclass
-class NoTask:
+class NoTask(_Fixed):
     """Victim (via master) → requester: nothing worth migrating."""
 
     source: int
-
-    def size_bytes(self) -> int:
-        return _HEADER
+    _BODY = 0
 
 
 @dataclass
-class CheckpointCommand:
+class CheckpointCommand(_Fixed):
     """Master → workers: snapshot your state to HDFS now (§7)."""
 
     epoch: int
-
-    def size_bytes(self) -> int:
-        return _HEADER + 8
+    _BODY = 8
 
 
 @dataclass
-class WorkerDown:
+class WorkerDown(_Fixed):
     """Master → workers: this worker is unreachable; park its pulls.
 
     ``view`` is the master's membership version at the time of the
@@ -167,20 +160,16 @@ class WorkerDown:
 
     worker: int
     view: int
-
-    def size_bytes(self) -> int:
-        return _HEADER + 8
+    _BODY = 8
 
 
 @dataclass
-class WorkerUp:
+class WorkerUp(_Fixed):
     """Master → workers: recovered; re-issue parked pulls."""
 
     worker: int
     view: int
-
-    def size_bytes(self) -> int:
-        return _HEADER + 8
+    _BODY = 8
 
 
 @dataclass
@@ -202,7 +191,7 @@ class MembershipView:
 
 
 @dataclass
-class Heartbeat:
+class Heartbeat(_Fixed):
     """Worker → master: I am alive (§7's liveness signal).
 
     The master's failure monitor declares a worker suspected, then
@@ -214,6 +203,4 @@ class Heartbeat:
 
     worker: int
     incarnation: int = 0
-
-    def size_bytes(self) -> int:
-        return _HEADER + 12
+    _BODY = 12

@@ -420,9 +420,7 @@ class SimWorker:
             )
         if self.recovery is not None:
             self.recovery.pull_sent(owner, request)
-        self.cluster.network.send(
-            self.worker_id, owner, request.size_bytes(), request
-        )
+        self._send(owner, request)
 
     def _on_pull_response(self, response: PullResponse) -> None:
         if self.obs is not None:
@@ -620,10 +618,7 @@ class SimWorker:
             return
         self._steal_pending = True
         self.stats.steal_requests += 1
-        request = StealRequest(worker=self.worker_id)
-        self.cluster.network.send(
-            self.worker_id, self.master_endpoint, request.size_bytes(), request
-        )
+        self._send(self.master_endpoint, StealRequest(worker=self.worker_id))
 
     def migrate_tasks_to(self, dest: int, count: int) -> None:
         """MIGRATE handler on the victim: ship tasks from the store tail."""
@@ -638,10 +633,7 @@ class SimWorker:
             local_rate_fn=local_rate,
         )
         if not tasks:
-            notice = NoTask(source=self.worker_id)
-            self.cluster.network.send(
-                self.worker_id, dest, notice.size_bytes(), notice
-            )
+            self._send(dest, NoTask(source=self.worker_id))
             return
         for task in tasks:
             self.live_tasks.pop(task.task_id, None)
@@ -654,9 +646,7 @@ class SimWorker:
         migration = TaskMigration(source=self.worker_id, tasks=tasks, seq=seq)
         if self.recovery is not None:
             self.recovery.migration_shipped(dest, migration)
-        self.cluster.network.send(
-            self.worker_id, dest, migration.size_bytes(), migration
-        )
+        self._send(dest, migration)
 
     def _on_migration(self, migration: TaskMigration) -> None:
         self._steal_pending = False
@@ -702,22 +692,20 @@ class SimWorker:
     def send_progress(self) -> None:
         if not self.node.alive:
             return
-        report = self.progress_snapshot()
-        self.cluster.network.send(
-            self.worker_id, self.master_endpoint, report.size_bytes(), report
-        )
+        self._send(self.master_endpoint, self.progress_snapshot())
 
     def send_agg_report(self) -> None:
         if self.agg is None or not self.node.alive:
             return
         report = AggReport(worker=self.worker_id, partial=self.agg.local_partial)
-        self.cluster.network.send(
-            self.worker_id, self.master_endpoint, report.size_bytes(), report
-        )
+        self._send(self.master_endpoint, report)
 
     # ------------------------------------------------------------------
     # message dispatch
     # ------------------------------------------------------------------
+
+    def _send(self, dest: int, message) -> None:
+        self.cluster.network.send(self.worker_id, dest, message.size_bytes(), message)
 
     def _on_message(self, message) -> None:
         payload = message.payload
@@ -728,9 +716,7 @@ class SimWorker:
                 if vid in self.vertex_table
             )
             response = PullResponse(vertices=vertices, seq=payload.seq)
-            self.cluster.network.send(
-                self.worker_id, payload.requester, response.size_bytes(), response
-            )
+            self._send(payload.requester, response)
         elif isinstance(payload, PullResponse):
             self._on_pull_response(payload)
         elif isinstance(payload, TaskMigration):

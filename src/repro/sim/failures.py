@@ -62,20 +62,19 @@ class FailurePlan:
 
     # -- link faults ---------------------------------------------------
 
+    def _link(self, src, dst, start, end, **fault):
+        spec = LinkFaultSpec(src=src, dst=dst, start=start, end=end, **fault)
+        self.link_faults.append(spec)
+        return self
+
     def lossy(self, rate: float, src=None, dst=None, start=0.0, end=math.inf):
         """Drop each matching message with probability ``rate``."""
-        self.link_faults.append(
-            LinkFaultSpec(src=src, dst=dst, start=start, end=end, loss=rate)
-        )
-        return self
+        return self._link(src, dst, start, end, loss=rate)
 
     def duplicating(self, rate: float, src=None, dst=None, start=0.0, end=math.inf):
         """Deliver a second copy of each matching message with
         probability ``rate`` (exercises receiver-side dedup)."""
-        self.link_faults.append(
-            LinkFaultSpec(src=src, dst=dst, start=start, end=end, duplicate=rate)
-        )
-        return self
+        return self._link(src, dst, start, end, duplicate=rate)
 
     def reordering(
         self, rate: float, delay: float = 0.005, src=None, dst=None,
@@ -83,20 +82,11 @@ class FailurePlan:
     ):
         """Hold each matching message back by ``delay`` with probability
         ``rate`` so later sends overtake it."""
-        self.link_faults.append(
-            LinkFaultSpec(
-                src=src, dst=dst, start=start, end=end,
-                reorder=rate, reorder_delay=delay,
-            )
-        )
-        return self
+        return self._link(src, dst, start, end, reorder=rate, reorder_delay=delay)
 
     def slow_link(self, factor: float, src=None, dst=None, start=0.0, end=math.inf):
         """Multiply matching messages' latency by ``factor`` (straggler)."""
-        self.link_faults.append(
-            LinkFaultSpec(src=src, dst=dst, start=start, end=end, slow_factor=factor)
-        )
-        return self
+        return self._link(src, dst, start, end, slow_factor=factor)
 
     def partition(self, src=None, dst=None, *, start: float, end: float):
         """Drop *all* matching traffic during ``[start, end)``.
@@ -104,10 +94,7 @@ class FailurePlan:
         Note the drop is directional: partitioning ``src → dst`` does
         not silence ``dst → src``; declare both for a symmetric cut.
         """
-        self.link_faults.append(
-            LinkFaultSpec(src=src, dst=dst, start=start, end=end, partition=True)
-        )
-        return self
+        return self._link(src, dst, start, end, partition=True)
 
     # -- validation / compilation --------------------------------------
 

@@ -13,6 +13,7 @@ import pytest
 from repro.apps import TriangleCountingApp
 from repro.core import GMinerConfig, GMinerJob, JobStatus
 from repro.core.messages import MembershipView, WorkerDown, WorkerUp
+from repro.core.recovery import MasterRecovery
 from repro.graph.algorithms import triangle_count_exact
 from repro.sim.cluster import ClusterSpec
 from repro.sim.failures import FailurePlan
@@ -29,10 +30,15 @@ def test_fault_free_job_builds_no_recovery(small_social_graph, config):
     job = GMinerJob(TriangleCountingApp(), small_social_graph, config)
     assert job.run().status is JobStatus.OK
     assert job.recovery is None
+    assert job.master.recovery is None
     assert all(worker.recovery is None for worker in job.workers)
 
 
-def test_checkpoint_only_job_runs_no_protocol(small_social_graph, config):
+def test_checkpoint_only_job_runs_no_protocol(small_social_graph, config, monkeypatch):
+    monitor_ticks = []
+    monkeypatch.setattr(
+        MasterRecovery, "_monitor_tick", lambda self: monitor_ticks.append(self)
+    )
     plain = GMinerJob(TriangleCountingApp(), small_social_graph, config).run()
     job = GMinerJob(
         TriangleCountingApp(),
@@ -47,6 +53,10 @@ def test_checkpoint_only_job_runs_no_protocol(small_social_graph, config):
     assert result.stats["rpc_retries"] == 0
     assert result.value == plain.value
     assert result.stats["work_units"] == plain.stats["work_units"]
+    master_recovery = job.master.recovery
+    assert master_recovery.checkpoint_epoch > 0
+    assert not monitor_ticks
+    assert not master_recovery.last_heard
 
 
 def test_checkpoint_only_job_logs_no_migrated_tasks(small_social_graph, config):
