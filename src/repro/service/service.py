@@ -214,6 +214,9 @@ class MiningService:
         self.schedule_log: List[Tuple[Any, ...]] = []
         self._lock = threading.RLock()
         self._records: Dict[int, _JobRecord] = {}
+        #: tenant -> its QUEUED + RUNNING jobs; up at admission, down in
+        #: ``_finish`` (every terminal transition goes through it)
+        self._active_by_tenant: Dict[str, int] = {}
         self._queued: List[int] = []
         self._running: List[int] = []
         self._tenant_rotation: List[str] = []
@@ -280,11 +283,7 @@ class MiningService:
                     limit=self.config.max_queue_depth,
                     current=len(self._queued),
                 )
-            inflight = sum(
-                1
-                for r in self._records.values()
-                if r.handle.tenant == tenant and r.state in _ACTIVE
-            )
+            inflight = self._active_by_tenant.get(tenant, 0)
             if inflight >= self.config.max_inflight_per_tenant:
                 self._reject(
                     tenant,
@@ -310,6 +309,7 @@ class MiningService:
                     native_workers=max(1, min(requested, budget))
                 )
             self._records[job_id] = record
+            self._active_by_tenant[tenant] = inflight + 1
             self._queued.append(job_id)
             if tenant not in self._tenant_rotation:
                 self._tenant_rotation.append(tenant)
@@ -700,6 +700,8 @@ class MiningService:
         state: JobState,
         error: Optional[BaseException],
     ) -> None:
+        if record.state in _ACTIVE:
+            self._active_by_tenant[record.handle.tenant] -= 1
         record.state = state
         record.error = error
         record.finished_at = self.now

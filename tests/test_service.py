@@ -355,6 +355,51 @@ class TestCancel:
         assert multiprocessing.active_children() == []
 
 
+class TestTenantAccounting:
+    @staticmethod
+    def assert_counts_match_a_recount(service):
+        recount = {}
+        for record in service._records.values():
+            if record.state in (JobState.QUEUED, JobState.RUNNING):
+                tenant = record.handle.tenant
+                recount[tenant] = recount.get(tenant, 0) + 1
+        kept = {t: n for t, n in service._active_by_tenant.items() if n}
+        assert kept == recount
+
+    def test_active_counts_follow_every_terminal_transition(self):
+        service = MiningService(
+            ServiceConfig(max_running=2, slice_seconds=0.001, quantum_work_units=1.0)
+        )
+        graph = tc_graph()
+        handles = [
+            service.submit(graph, workload="tc", tenant="a"),
+            service.submit(graph, workload="tc", tenant="b"),
+            service.submit(graph, workload="tc", tenant="a", deadline=1e-6),
+            service.submit(graph, workload="tc", tenant="b"),
+        ]
+
+        def fail_mid_run(*args, **kwargs):
+            raise RuntimeError("injected mid-run failure")
+
+        service._records[handles[3].job_id].job.advance = fail_mid_run
+        self.assert_counts_match_a_recount(service)
+        assert service.cancel(handles[1]) is True
+        self.assert_counts_match_a_recount(service)
+        service.run_until_idle()
+        self.assert_counts_match_a_recount(service)
+        assert [service.poll(h) for h in handles] == [
+            JobState.DONE, JobState.CANCELLED, JobState.DEADLINE, JobState.FAILED,
+        ]
+        # shutdown settles one running and one queued job
+        handles += [service.submit(graph, workload="tc", tenant="c") for _ in range(3)]
+        service.step()
+        self.assert_counts_match_a_recount(service)
+        service.shutdown()
+        self.assert_counts_match_a_recount(service)
+        assert not any(service._active_by_tenant.values())
+        assert JobState.CANCELLED in {service.poll(h) for h in handles[4:]}
+
+
 # ----------------------------------------------------------------------
 # native dispatch
 # ----------------------------------------------------------------------
