@@ -13,13 +13,42 @@ path is gated strictly on the active backend name.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import kernels
 from repro.core.api import GMinerApp
 from repro.core.task import Task, TaskEnv
 from repro.graph.graph import VertexData
+from repro.mining.cost import WorkMeter
 from repro.mining.triangles import triangles_for_seed, triangles_for_seed_estimate
+
+
+def admits_seed(vertex: VertexData) -> bool:
+    """Whether ``vertex`` seeds a task: a triangle ``v < u < w`` needs
+    at least two higher neighbours.  Scans from the top, where a sorted
+    adjacency keeps them, so most seeds are decided after two probes."""
+    vid = vertex.vid
+    higher = 0
+    for u in reversed(vertex.neighbors):
+        if u > vid:
+            higher += 1
+            if higher == 2:
+                return True
+    return False
+
+
+class _Handles(dict):
+    """Neighbour handles of one chunk, filled on first use."""
+
+    __slots__ = ("_data_of",)
+
+    def __init__(self, data_of: Callable[[int], VertexData]) -> None:
+        super().__init__()
+        self._data_of = data_of
+
+    def __missing__(self, vid: int) -> Any:
+        handle = self[vid] = self._data_of(vid).neighbors_array()
+        return handle
 
 
 class TCTask(Task):
@@ -58,11 +87,36 @@ class TriangleCountingApp(GMinerApp):
     name = "tc"
 
     def make_task(self, vertex: VertexData) -> Optional[Task]:
-        # a seed needs at least two higher neighbours to close a triangle
-        higher = [u for u in vertex.neighbors if u > vertex.vid]
-        if len(higher) < 2:
-            return None
-        return TCTask(vertex)
+        return TCTask(vertex) if admits_seed(vertex) else None
+
+    def run_seeds(
+        self,
+        vids: Sequence[int],
+        data_of: Callable[[int], VertexData],
+        charge: Callable[[float], None],
+    ) -> Tuple[List[Any], int, int]:
+        """The native engine's chunk hook: per admitted seed, the kernel
+        call :meth:`TCTask.update` makes, on neighbour handles shared
+        across the chunk, with no task objects or candidate dicts.
+        Returns ``(results, tasks, rounds)`` exactly as one ``TCTask``
+        per admitted seed would: every count (zeros included) in seed
+        order, one round each."""
+        count_seed = (
+            triangles_for_seed_estimate
+            if kernels.get_backend() == "sketch"
+            else triangles_for_seed
+        )
+        handles = _Handles(data_of)
+        meter = WorkMeter()
+        results = []
+        for vid in vids:
+            seed = data_of(vid)
+            if admits_seed(seed):
+                results.append(
+                    count_seed(vid, seed.neighbors_array(), handles, meter)
+                )
+        charge(meter.units)
+        return results, len(results), len(results)
 
     def combine_results(self, results):
         values = [r for r in results if r is not None]

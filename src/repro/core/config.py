@@ -62,7 +62,7 @@ class GMinerConfig:
 
     # -- fault tolerance (§7) ------------------------------------------------
     #: The failure detector's and the pull RPC's timing are constants
-    #: next to their readers (``core/master.py``, ``core/worker.py``).
+    #: in ``core/recovery.py``, next to their readers.
     checkpoint_interval: Optional[float] = None  # seconds; None disables
 
     # -- extensions (paper §9 future work) -----------------------------------

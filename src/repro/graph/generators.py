@@ -17,6 +17,7 @@ All generators take an explicit ``seed`` and are fully deterministic.
 
 from __future__ import annotations
 
+import bisect
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,16 +55,21 @@ def preferential_attachment_graph(
     edges: List[Tuple[int, int]] = []
     # repeated-nodes list implements preferential attachment in O(1)
     repeated: List[int] = []
-    adjacency: Dict[int, set] = {v: set() for v in range(n)}
+    # sorted neighbour lists: the triangle step draws from them in order
+    adjacency: Dict[int, List[int]] = {v: [] for v in range(n)}
 
     def saturated(v: int) -> bool:
         return max_degree is not None and len(adjacency[v]) >= max_degree
 
     def add_edge(u: int, v: int) -> bool:
-        if u == v or v in adjacency[u]:
+        if u == v:
             return False
-        adjacency[u].add(v)
-        adjacency[v].add(u)
+        at_u = adjacency[u]
+        i = bisect.bisect_left(at_u, v)
+        if i < len(at_u) and at_u[i] == v:
+            return False
+        at_u.insert(i, v)
+        bisect.insort(adjacency[v], u)
         edges.append((u, v))
         repeated.append(u)
         repeated.append(v)
@@ -80,6 +86,7 @@ def preferential_attachment_graph(
 
     for new in range(seed_size, n):
         targets: List[int] = []
+        chosen = set()
         last_target: Optional[int] = None
         attempts = 0
         while len(targets) < m and attempts < 50 * m:
@@ -90,11 +97,12 @@ def preferential_attachment_graph(
                 and rng.random() < triangle_prob
                 and adjacency[last_target]
             ):
-                candidate = rng.choice(sorted(adjacency[last_target]))
-            if candidate is None or candidate == new or candidate in targets:
+                candidate = rng.choice(adjacency[last_target])
+            if candidate is None or candidate == new or candidate in chosen:
                 candidate = repeated[rng.randrange(len(repeated))]
-            if candidate != new and candidate not in targets and not saturated(candidate):
+            if candidate != new and candidate not in chosen and not saturated(candidate):
                 targets.append(candidate)
+                chosen.add(candidate)
                 last_target = candidate
         for t in targets:
             add_edge(new, t)

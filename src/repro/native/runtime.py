@@ -9,10 +9,14 @@ units the task charged — so a native run's total work equals the
 simulated run's whenever the schedule cannot change per-task charges
 (DESIGN.md's sim-vs-native equivalence contract).
 
-Compiled plans skip the task objects: :class:`~repro.plans.PlanApp`'s
-``run_seeds`` hook runs a chunk's roots straight through the plan step
-runner, reporting the tasks, rounds, results and charges one
-``PlanTask`` per admissible root would.
+Compiled plans and triangle counting skip the task objects: the
+``run_seeds`` hooks of :class:`~repro.plans.PlanApp` (a chunk's roots
+straight through the plan step runner) and
+:class:`~repro.apps.triangle_counting.TriangleCountingApp` (each
+admitted seed's kernel call on shared neighbour handles) report the
+tasks, rounds, results and charges one task per admitted seed would.
+A subclass that overrides ``make_task`` runs the task loop instead
+(:func:`chunk_hook`).
 
 Tasks execute *pure*: ``env.aggregated`` stays ``None`` (so MCF's
 branch-and-bound bound starts at 0 and never tightens across tasks)
@@ -95,6 +99,21 @@ def run_task(
     return results, work, rounds, spawned
 
 
+def chunk_hook(app: GMinerApp) -> Optional[Callable[..., Any]]:
+    """``app.run_seeds`` when the class defining it also defines the
+    ``make_task`` in effect, else ``None``.
+
+    The hook stands in for that class's task generator only: a subclass
+    overriding ``make_task`` alone (to decline, wrap or fail seeds) must
+    keep going through it, so it gets the task loop.
+    """
+    for klass in type(app).__mro__:
+        defined = vars(klass).keys() & {"run_seeds", "make_task"}
+        if defined:
+            return app.run_seeds if len(defined) == 2 else None
+    return None
+
+
 def execute_chunk(
     app: GMinerApp,
     graph: Graph,
@@ -110,15 +129,15 @@ def execute_chunk(
     ``graph.vertex_data``.
 
     An app with a ``run_seeds(vids, data_of, charge) -> (results,
-    tasks, rounds)`` hook (:class:`~repro.plans.executor.PlanApp`) runs
-    the whole chunk through it instead of one task per seed: full graph
-    access needs no pull sets or candidate dicts.  The hook must report
-    what the task loop would have.
+    tasks, rounds)`` hook (:func:`chunk_hook`) runs the whole chunk
+    through it instead of one task per seed: full graph access needs no
+    pull sets or candidate dicts.  The hook must report what the task
+    loop would have.
     """
     outcome = ChunkOutcome(chunk_id=chunk_id)
     if data_of is None:
         data_of = graph.vertex_data
-    run_seeds = getattr(app, "run_seeds", None)
+    run_seeds = chunk_hook(app)
     if run_seeds is not None:
         for vid in vids:
             outcome.work_units += app.seed_cost(data_of(vid))

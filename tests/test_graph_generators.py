@@ -1,5 +1,7 @@
 """Unit tests for the synthetic graph generators."""
 
+import hashlib
+
 import pytest
 
 from repro.graph.attributes import AttributeSpace
@@ -54,6 +56,41 @@ class TestPreferentialAttachment:
             preferential_attachment_graph(0, 1)
         with pytest.raises(ValueError):
             preferential_attachment_graph(10, 0)
+
+    @pytest.mark.parametrize(
+        "params, digest",
+        [
+            # native-tc-dense's input shape
+            (dict(n=1200, m=120, seed=7),
+             "57ff11a0fd8f0bb876bcb7e8038c7a7d97b2220c746fd04988d822b929b21aea"),
+            # the orkut-s recipe at 1200 vertices (hub cap)
+            (dict(n=1200, m=25, triangle_prob=0.6, max_degree=120, seed=0),
+             "e408dac97a0635b0dba49af15ac66637bf13003e43e3fa155cf391837b9ef216"),
+            (dict(n=400, m=6, seed=3, max_degree=25),
+             "1042491a80ebbd01b56e25ccf7d802f9af57a8ff735aca3e63852d2bab61dc10"),
+            (dict(n=300, m=5, triangle_prob=0.9, seed=7),
+             "18bf40b9c49cc2675c456b42538df4d78a6009124a93512e7e9d2c03b9c72474"),
+            (dict(n=500, m=4, triangle_prob=0.0, seed=0),
+             "f159fb423a8efaae2e9e57624f0b1a7f0a60f9ae6838006fb8d74f44e1687280"),
+            (dict(n=220, m=110, seed=0),
+             "b630813fac9542366a2b5b1db874528ca32fc1b0aeed49ab45d47266aada20d3"),
+            # n <= m + 1: the seed ring is the whole graph
+            (dict(n=5, m=8, seed=2),
+             "4756af6d0bda54f5894b3503168928a9f30527f7803f795f4c237d1e81f7b225"),
+            (dict(n=4, m=3, seed=1),
+             "d9eb9867b9b09d225984fff14f345a9af064180d3ab6f954fa013d6c8303f3a0"),
+            (dict(n=1, m=1, seed=0),
+             "5578a44007e3068dbfa7e9b12b3945764ebf2160b21e7360a47ecfa3dc4133fa"),
+        ],
+    )
+    def test_adjacency_digest_pinned(self, params, digest):
+        """The generator's graphs stay byte-identical: every dataset,
+        golden and benchmark input is built from them."""
+        g = preferential_attachment_graph(**params)
+        h = hashlib.sha256()
+        for v in g.vertices():
+            h.update(f"{v}:{','.join(map(str, g.neighbors(v)))};".encode())
+        assert h.hexdigest() == digest
 
 
 class TestRMAT:

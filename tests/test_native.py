@@ -38,10 +38,11 @@ from repro.apps import (
 from repro.core.config import GMinerConfig
 from repro.core.job import GMinerJob, JobStatus
 from repro.core.task import peek_task_id
-from repro.graph.graph import VertexData
+from repro.graph.graph import Graph, VertexData
 from repro.graph.generators import random_attributes
 from repro.mining.cost import WorkMeter
 from repro.native import execute_chunk, run_native, seed_chunks
+from repro.native.runtime import chunk_hook
 from repro.plans import PlanApp, compile_pattern, count_plan_sequential, motif
 from repro.plans.api import prepare_job
 from repro.sim.cluster import ClusterSpec
@@ -208,6 +209,78 @@ def test_native_plan_path_allocates_no_task():
     assert sum(o.work_units for o in outcomes) == meter.units + scan
     assert sum(o.tasks_created for o in outcomes) == result.stats["tasks_created"]
     assert sum(o.rounds for o in outcomes) == result.stats["rounds_executed"]
+
+
+class _TaskLoopTC(TriangleCountingApp):
+    """tc with an overriding ``make_task``: the task loop's reference."""
+
+    def make_task(self, vertex):
+        return super().make_task(vertex)
+
+
+def _tc_edge_case_graphs():
+    """Graphs whose seeds hit every admission branch."""
+    clustered = make_clustered_graph(n=60, m=4, seed=5)
+    edges = [(u, v) for u in clustered.vertices()
+             for v in clustered.neighbors(u) if u < v]
+    # a degree-2 triangle seed, an open wedge (an admitted seed that
+    # counts 0), its leaves (fewer than two higher neighbours),
+    # isolated vertices, and negative ids (the bitset's list fallback)
+    extra = [(60, 61), (61, 62), (60, 62), (63, 64), (63, 65)]
+    with_isolated = Graph.from_edges(edges + extra, vertices=range(70))
+    negative = Graph.from_edges([(u - 30, v - 30) for u, v in edges + extra])
+    return [clustered, with_isolated, negative]
+
+
+@pytest.mark.parametrize("backend", [*kernels.available_backends(), "sketch"])
+def test_native_tc_path_matches_task_loop_chunk_by_chunk(backend):
+    """tc chunks skip the task objects, yet each chunk reports the task
+    loop's results (in seed order, zeros included; estimates under
+    the sketch backend), units, tasks and rounds."""
+    with kernels.use_backend(backend):
+        for graph in _tc_edge_case_graphs():
+            for size in (1, 7, 64):
+                for chunk_id, chunk in enumerate(seed_chunks(graph, size)):
+                    hook = execute_chunk(
+                        TriangleCountingApp(), graph, chunk_id, chunk
+                    )
+                    loop = execute_chunk(_TaskLoopTC(), graph, chunk_id, chunk)
+                    assert hook.results == loop.results
+                    assert hook.work_units == loop.work_units
+                    assert hook.tasks_created == loop.tasks_created
+                    assert hook.rounds == loop.rounds == loop.tasks_created
+                    assert hook.offers == loop.offers == []
+
+
+def test_native_tc_path_allocates_no_task():
+    graph = make_clustered_graph()
+    sim = _sim(TriangleCountingApp, graph)
+    before = peek_task_id()
+    result = _native(TriangleCountingApp, graph, 1)
+    assert peek_task_id() == before
+    assert result.value == sim.value > 0
+    assert result.num_results == sim.num_results
+    for key in ("tasks_created", "rounds_executed", "work_units"):
+        assert result.stats[key] == sim.stats[key], key
+
+
+def test_native_tc_path_is_not_inherited_by_a_make_task_override():
+    """A subclass that overrides ``make_task`` alone keeps its task
+    generator: it runs the task loop, one task per admitted seed."""
+    assert chunk_hook(TriangleCountingApp()) is not None
+    assert chunk_hook(_TaskLoopTC()) is None
+
+    class _OwnHook(_TaskLoopTC):
+        def run_seeds(self, vids, data_of, charge):
+            return super().run_seeds(vids, data_of, charge)
+
+    # the hook's class must also define the make_task in effect
+    assert chunk_hook(_OwnHook()) is None
+
+    graph = make_clustered_graph()
+    before = peek_task_id()
+    result = _native(_TaskLoopTC, graph, 1)
+    assert peek_task_id() - before == result.stats["tasks_created"] > 0
 
 
 def test_mine_execution_native_roundtrip(small_social_graph):
